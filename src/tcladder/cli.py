@@ -22,7 +22,6 @@ import copy
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -96,7 +95,9 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigUsageError(f"unknown config key: {where}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigUsageError(f"config key {where} must be an object")
             out[key] = _merge(defaults[key], value, where)
         else:
             out[key] = value
@@ -118,6 +119,27 @@ def _apply_set(config: dict, assignment: str) -> None:
         if not isinstance(node, dict):
             raise ConfigUsageError(f"--set path {key_path!r} crosses a scalar")
     node[parts[-1]] = value
+
+
+_INTEGER_FIELDS = (
+    ("photon_cutoff", 0),
+    ("grids.t.num", 1),
+    ("grids.omega.num", 1),
+    ("sweep.num", 1),
+    ("spectrum.n_time", 1),
+    ("spectrum.max_refinements", 0),
+)
+
+
+def _require_integer(config: dict, key_path: str, minimum: int) -> None:
+    value = config
+    for part in key_path.split("."):
+        value = value[part]
+    # bool is an int subclass, but true/false is never a count
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigValidationError(
+            f"{key_path} must be an integer >= {minimum}, got {json.dumps(value)}"
+        )
 
 
 def resolve_config(
@@ -150,8 +172,8 @@ def resolve_config(
         raise ConfigValidationError(
             "sweeping g is only meaningful with units='absolute'"
         )
-    if not (isinstance(config["photon_cutoff"], int) and config["photon_cutoff"] >= 0):
-        raise ConfigValidationError("photon_cutoff must be a nonnegative integer")
+    for key_path, minimum in _INTEGER_FIELDS:
+        _require_integer(config, key_path, minimum)
     if config["operator"] not in sp.OPERATOR_TAGS:
         raise ConfigValidationError(f"operator must be one of {sp.OPERATOR_TAGS}")
     if config["spectrum"]["kernel"] not in ("verbatim", "decaying"):
@@ -261,36 +283,24 @@ def _write_csv(
 # subcommands
 # ---------------------------------------------------------------------------
 
-def eigen_rows(config: dict, threads: int = 1) -> list[list]:
-    """Sweep rows (sweep_value, n, branch, re_eps, im_eps).
-
-    Sweep points may run concurrently; rows always come out in sweep order.
-    """
+def eigen_rows(config: dict) -> list[list]:
+    """Sweep rows (sweep_value, n, branch, re_eps, im_eps) in sweep order."""
     params = system_params(config)
     sweep = config["sweep"]
     values = np.linspace(sweep["start"], sweep["stop"], int(sweep["num"]))
-    manifolds = config["manifolds"]
-
-    def one(value: float) -> list[list]:
+    rows = []
+    for value in values:
         local = replace(params, **{sweep["parameter"]: float(value)})
-        out = []
-        for n in manifolds:
+        for n in config["manifolds"]:
             for level in ea.complex_eigenenergies(n, local):
-                out.append(
+                rows.append(
                     [float(value), n, level.branch, level.value.real, level.value.imag]
                 )
-        return out
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one, values))
-    else:
-        chunks = [one(v) for v in values]
-    return [row for chunk in chunks for row in chunk]
+    return rows
 
 
-def cmd_eigen(config: dict, out_dir: Path, threads: int = 1) -> int:
-    rows = eigen_rows(config, threads=threads)
+def cmd_eigen(config: dict, out_dir: Path) -> int:
+    rows = eigen_rows(config)
     _write_csv(
         out_dir / "eigen.csv",
         "eigen",
@@ -303,6 +313,10 @@ def cmd_eigen(config: dict, out_dir: Path, threads: int = 1) -> int:
 
 def cmd_criterion(config: dict, out_dir: Path) -> int:
     params = system_params(config)
+    if params.delta != 0.0:
+        raise ConfigValidationError(
+            f"criterion maps the resonant case only; got params.delta = {params.delta:g}"
+        )
     g = params.g
     ys = np.linspace(1e-4, 2.5, 400)
     contour_rows = []
@@ -478,9 +492,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     {
                         "check_id": r.check_id,
                         "description": r.description,
-                        "passed": r.passed,
+                        "passed": bool(r.passed),
                         "tolerance": r.tolerance,
-                        "measured": r.measured,
+                        "measured": float(r.measured),
                         "detail": r.detail,
                     }
                     for r in results
@@ -513,9 +527,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="override a config field (repeatable)",
     )
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="sweep concurrency (eigen sweeps)"
-    )
     parser.add_argument(
         "--seed", type=int, default=None, help="reserved; echoed into metadata"
     )
@@ -561,9 +572,8 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.seed is not None:
             config["seed"] = args.seed
-        if args.command == "eigen":
-            return cmd_eigen(config, out_dir, threads=max(1, args.threads))
         dispatch = {
+            "eigen": cmd_eigen,
             "criterion": cmd_criterion,
             "evolve": cmd_evolve,
             "spectrum": cmd_spectrum,

@@ -12,6 +12,14 @@ cascade steps.
 Vectorization convention: ``vec(rho) = rho.reshape(-1)`` (row stacking), so
 ``vec(A @ rho @ B) = kron(A, B.T) @ vec(rho)``.
 
+The generator is assembled in one place, :func:`_generator`.  Every block is
+an index slice of it: the average of the basis operator ``|row><col|`` is
+``tr(rho |row><col|) = rho[col, row]``, which sits at vec index
+``col * dim + row``, so the block on a list of ``(row, col)`` pairs is
+``build_generator(...)[np.ix_(idx, idx)]`` with ``idx = col * dim + row``.
+Blocks are computed on those indices directly, never through the full
+matrix.
+
 Eigenvalue convention: blocks generate real-time dynamics ``dx/dt = M x``.
 Multiplying an eigenvalue of ``M`` by ``1j`` (:func:`generator_eig_to_line`)
 yields the complex line value whose real part is the emission position and
@@ -30,8 +38,7 @@ from .space import SystemParams, TruncatedBasis, bare_operators
 
 __all__ = [
     "IntegrationError",
-    "CoherenceBlock",
-    "PopulationBlock",
+    "SectorBlock",
     "dissipator",
     "jump_operators",
     "build_generator",
@@ -43,7 +50,6 @@ __all__ = [
     "population_block",
     "raising_coherence_generator",
     "generator_eig_to_line",
-    "line_to_generator_eig",
 ]
 
 
@@ -72,6 +78,42 @@ def jump_operators(
     ]
 
 
+def _generator(
+    params: SystemParams,
+    basis: TruncatedBasis,
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> np.ndarray:
+    """Generator restricted to the vec indices ``cols * dim + rows``.
+
+    Entry ``[k, p]`` is the coefficient in ``d<X_k>/dt = sum_p M[k, p] <X_p>``
+    for the basis operators ``X_k = |rows[k]><cols[k]|``; coefficients into
+    indices outside the list (feed into other sectors) are dropped.  Each
+    ``kron(A, B)`` term restricted to these indices is the elementwise product
+    ``A[c, c'] * B[r, r']``, so every entry is bitwise the one the full
+    Kronecker-product assembly would hold.
+    """
+    from .hamiltonian import build_hamiltonian
+
+    h = build_hamiltonian(params, basis)
+    eye = np.eye(basis.dim)
+
+    def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a.take(cols, 0).take(cols, 1) * b.take(rows, 0).take(rows, 1)
+
+    gen = 1j * (kron(eye, h.T) - kron(h, eye))
+    for rate, op in jump_operators(params, basis):
+        if rate == 0.0:
+            continue
+        od_o = op.conj().T @ op
+        gen += (rate / 2.0) * (
+            2.0 * kron(op, op.conj())
+            - kron(od_o, eye)
+            - kron(eye, od_o.T)
+        )
+    return gen
+
+
 def build_generator(params: SystemParams, basis: TruncatedBasis) -> np.ndarray:
     """Full generator on vectorized density matrices (dim^2 x dim^2).
 
@@ -80,21 +122,9 @@ def build_generator(params: SystemParams, basis: TruncatedBasis) -> np.ndarray:
     checked: its spectrum contains the spectra of all coherence and
     population blocks.
     """
-    from .hamiltonian import build_hamiltonian
-
-    h = build_hamiltonian(params, basis)
-    eye = np.eye(basis.dim)
-    gen = 1j * (np.kron(eye, h.T) - np.kron(h, eye))
-    for rate, op in jump_operators(params, basis):
-        if rate == 0.0:
-            continue
-        od_o = op.conj().T @ op
-        gen += (rate / 2.0) * (
-            2.0 * np.kron(op, op.conj())
-            - np.kron(od_o, eye)
-            - np.kron(eye, od_o.T)
-        )
-    return gen
+    dim = basis.dim
+    index = np.arange(dim)
+    return _generator(params, basis, np.tile(index, dim), np.repeat(index, dim))
 
 
 def evolve(
@@ -187,76 +217,18 @@ def population_ops(basis: TruncatedBasis, m: int) -> list[tuple[int, int]]:
     return [(r, c) for r in idx for c in idx]
 
 
-def _adjoint_action(
-    x: np.ndarray, h: np.ndarray, jumps: list[tuple[float, np.ndarray]]
-) -> np.ndarray:
-    """Adjoint (observable-side) generator applied to one operator."""
-    out = 1j * (h @ x - x @ h)
-    for rate, op in jumps:
-        if rate == 0.0:
-            continue
-        od = op.conj().T
-        out = out + (rate / 2.0) * (2.0 * od @ x @ op - od @ op @ x - x @ od @ op)
-    return out
-
-
-def _sector_matrix(
-    params: SystemParams,
-    basis: TruncatedBasis,
-    pairs: list[tuple[int, int]],
-) -> np.ndarray:
-    """Generator matrix of the operator averages of the given basis operators.
-
-    Row k of the result gives ``d<X_k>/dt = sum_p M[k, p] <X_p>``; coefficients
-    outside the listed pairs (feed into other sectors) are dropped.
-    """
-    from .hamiltonian import build_hamiltonian
-
-    h = build_hamiltonian(params, basis)
-    jumps = jump_operators(params, basis)
-    dim = basis.dim
-    mat = np.zeros((len(pairs), len(pairs)), dtype=complex)
-    for k, (r, c) in enumerate(pairs):
-        x = np.zeros((dim, dim), dtype=complex)
-        x[r, c] = 1.0
-        y = _adjoint_action(x, h, jumps)
-        for p, (r2, c2) in enumerate(pairs):
-            mat[k, p] = y[r2, c2]
-    return mat
-
-
 @dataclass(frozen=True)
-class CoherenceBlock:
-    """Diagonal block of the coherence sector ``m -> m - 1``.
+class SectorBlock:
+    """Diagonal block of the generator on one sector of basis operators.
 
-    ``matrix`` generates ``dx/dt = M x`` for the averages of the lowering
-    operators listed in ``op_index`` (pairs of basis indices, row then
-    column).  Eigenvalues map to emission lines via
-    :func:`generator_eig_to_line`.
-    """
-
-    m: int
-    op_index: tuple[tuple[int, int], ...]
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.matrix)
-
-    def line_values(self) -> np.ndarray:
-        return generator_eig_to_line(self.eigenvalues())
-
-
-@dataclass(frozen=True)
-class PopulationBlock:
-    """Diagonal block of the within-manifold sector of manifold ``m``.
-
-    Only the decay-out part: the cascade feed from manifold ``m + 1`` lives in
-    the off-diagonal blocks of the full generator and does not affect
-    eigenvalues.
+    ``matrix`` generates ``dx/dt = M x`` for the averages of the operators
+    ``|row><col|`` listed in ``op_index`` (pairs of basis indices, row then
+    column): the lowering coherences ``m -> m - 1`` of
+    :func:`regression_block` or the within-manifold operators of
+    :func:`population_block`.  Only the decay-out part is kept; the cascade
+    feed from manifold ``m + 1`` lives in the off-diagonal blocks of the full
+    generator and does not affect eigenvalues.  Eigenvalues map to line
+    values via :func:`generator_eig_to_line`.
     """
 
     m: int
@@ -284,7 +256,7 @@ def _require_complete(basis: TruncatedBasis, n: int, what: str) -> None:
 
 def regression_block(
     params: SystemParams, basis: TruncatedBasis, m: int
-) -> CoherenceBlock:
+) -> SectorBlock:
     """Coherence block for transitions from manifold ``m`` to ``m - 1``.
 
     Block dimension is ``dim(m-1) * dim(m)``: 3, 12 and then 16 for complete
@@ -295,22 +267,18 @@ def regression_block(
     _require_complete(basis, m, "regression block")
     _require_complete(basis, m - 1, "regression block")
     pairs = coherence_ops(basis, m)
-    return CoherenceBlock(
-        m=m, op_index=tuple(pairs), matrix=_sector_matrix(params, basis, pairs)
-    )
+    return SectorBlock(m, tuple(pairs), _generator(params, basis, *np.array(pairs).T))
 
 
 def population_block(
     params: SystemParams, basis: TruncatedBasis, m: int
-) -> PopulationBlock:
+) -> SectorBlock:
     """Within-manifold block of manifold ``m`` (dimension ``dim(m)^2``)."""
     if m < 0:
         raise ValueError("population block needs m >= 0")
     _require_complete(basis, m, "population block")
     pairs = population_ops(basis, m)
-    return PopulationBlock(
-        m=m, op_index=tuple(pairs), matrix=_sector_matrix(params, basis, pairs)
-    )
+    return SectorBlock(m, tuple(pairs), _generator(params, basis, *np.array(pairs).T))
 
 
 def raising_coherence_generator(
@@ -333,7 +301,7 @@ def raising_coherence_generator(
         rows = basis.manifold_index[m]
         cols = basis.manifold_index[m - 1]
         pairs.extend((r, c) for r in rows for c in cols)
-    return pairs, _sector_matrix(params, basis, pairs)
+    return pairs, _generator(params, basis, *np.array(pairs).T)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +316,3 @@ def generator_eig_to_line(mu: np.ndarray | complex) -> np.ndarray | complex:
     with closed-form eigenenergies.
     """
     return 1j * mu
-
-
-def line_to_generator_eig(lam: np.ndarray | complex) -> np.ndarray | complex:
-    """Inverse of :func:`generator_eig_to_line`."""
-    return -1j * lam

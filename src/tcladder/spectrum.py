@@ -151,6 +151,28 @@ def _check_initial_support(rho0: np.ndarray, basis: TruncatedBasis) -> None:
         )
 
 
+def _raising_family(
+    operator: str,
+    rho_traj: np.ndarray,
+    params: SystemParams,
+    basis: TruncatedBasis,
+    rotating: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raising-family generator, initial values ``v`` (family x time) and the
+    coefficients that read ``O+`` back out of the family."""
+    pairs, gen = raising_coherence_generator(params, basis)
+    if rotating:
+        gen = gen - 1j * params.omega0 * np.eye(len(pairs))
+    op = _operator_matrix(operator, basis)
+    rows, cols = np.array(pairs).T
+
+    # initial conditions <W_k O>(t) = (O rho(t))[col_k, row_k]
+    v = np.stack([(op @ rho)[cols, rows] for rho in rho_traj], axis=1)
+    # O+ expanded over the raising family: coefficients conj(O[col, row])
+    coeff = op[cols, rows].conj()
+    return gen, v, coeff
+
+
 def _propagate_correlation(
     operator: str,
     rho_traj: np.ndarray,
@@ -160,18 +182,7 @@ def _propagate_correlation(
     rotating: bool,
 ) -> np.ndarray:
     """Shared tau-propagation core; returns values of shape (n_t, n_tau)."""
-    pairs, gen = raising_coherence_generator(params, basis)
-    if rotating:
-        gen = gen - 1j * params.omega0 * np.eye(len(pairs))
-    op = _operator_matrix(operator, basis)
-    rows = np.array([r for r, _ in pairs])
-    cols = np.array([c for _, c in pairs])
-
-    # initial conditions <W_k O>(t) = (O rho(t))[col_k, row_k]
-    v = np.stack([(op @ rho)[cols, rows] for rho in rho_traj], axis=1)
-    # O+ expanded over the raising family: coefficients conj(O[col, row])
-    coeff = op[cols, rows].conj()
-
+    gen, v, coeff = _raising_family(operator, rho_traj, params, basis, rotating)
     n_tau = tau_grid.size
     values = np.empty((rho_traj.shape[0], n_tau), dtype=complex)
     values[:, 0] = coeff @ v
@@ -253,13 +264,8 @@ def _spectrum_pass(
     grid = np.linspace(0.0, collection_time, n_time + 1)
     h = collection_time / n_time
     traj = evolve(rho0, params, basis, grid)
-    pairs, gen = raising_coherence_generator(params, basis)
-    gen = gen - 1j * params.omega0 * np.eye(len(pairs))  # carrier factored out
-    op = _operator_matrix(operator, basis)
-    rows = np.array([r for r, _ in pairs])
-    cols = np.array([c for _, c in pairs])
-    v = np.stack([(op @ rho)[cols, rows] for rho in traj], axis=1)
-    coeff = op[cols, rows].conj()
+    # carrier factored out
+    gen, v, coeff = _raising_family(operator, traj, params, basis, rotating=True)
     step = expm(gen * h)
 
     # inner integral over t in [0, T - tau_j], trapezoid on the shared spacing

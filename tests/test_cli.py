@@ -69,6 +69,27 @@ class TestConfigHandling:
         code = main(["eigen", "--set", "sweep.parameter=g", "--out", str(tmp_path)])
         assert code == EXIT_FAIL
 
+    @pytest.mark.parametrize(
+        "command, assignment",
+        [
+            ("spectrum", "spectrum.n_time=0"),
+            ("spectrum", "grids.omega.num=0"),
+            ("eigen", "photon_cutoff=true"),
+            ("spectrum", "spectrum.max_refinements=-1"),
+            ("criterion", "params.delta=0.5"),
+            ("eigen", "sweep.num=2.5"),
+        ],
+    )
+    def test_invalid_input_fails_with_one_line(
+        self, tmp_path, capsys, command, assignment
+    ):
+        code = main([command, "--set", assignment, "--out", str(tmp_path)])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("tcladder: ") and err.count("\n") == 1
+        assert assignment.partition("=")[0] in err
+        assert not list(tmp_path.iterdir())
+
     def test_set_overrides_nested_field(self, tmp_path):
         code = main(
             [
@@ -148,9 +169,7 @@ class TestEigenCommand:
     def test_byte_identical_reruns(self, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:
-            code = main(
-                ["eigen", "--set", "sweep.num=11", "--out", str(d), "--threads", "3"]
-            )
+            code = main(["eigen", "--set", "sweep.num=11", "--out", str(d)])
             assert code == EXIT_OK
         assert (dirs[0] / "eigen.csv").read_bytes() == (dirs[1] / "eigen.csv").read_bytes()
 
@@ -349,6 +368,15 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         payload = json.loads(report.read_text())
         assert payload[0]["check_id"] == "c01-dressed-energies"
+        assert payload[0]["passed"] is True
+
+    def test_json_report_of_numpy_valued_check(self, tmp_path):
+        # c07 computes its pass flag and residual with numpy
+        report = tmp_path / "report.json"
+        code = main(["verify", "--checks", "c07*", "--json", str(report)])
+        assert code == EXIT_OK
+        payload = json.loads(report.read_text())
+        assert payload[0]["check_id"] == "c07-perturbative-order"
         assert payload[0]["passed"] is True
 
     def test_rabi_mutation_fails_oracle(self):

@@ -205,6 +205,31 @@ class TestBlocks:
             np.linalg.eigvals(sub), np.linalg.eigvals(lowering).conj()
         ) < 1e-10
 
+    @pytest.mark.parametrize("cutoff", [2, 3])
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            dict(delta=0.0, gamma_a=0.4, gamma_sigma=0.3),
+            dict(delta=0.3, gamma_a=0.4, gamma_sigma=0.3),
+            dict(delta=0.3, gamma_a=0.4, gamma_sigma=0.0),
+        ],
+    )
+    def test_blocks_are_slices_of_full_generator(self, cutoff, rates):
+        basis = build_basis(cutoff)
+        params = SystemParams(omega0=10.0, g=1.0, **rates)
+        gen = build_generator(params, basis)
+
+        def sliced(pairs):
+            idx = [c * basis.dim + r for r, c in pairs]
+            return gen[np.ix_(idx, idx)]
+
+        blocks = [regression_block(params, basis, m) for m in range(1, cutoff + 1)]
+        blocks += [population_block(params, basis, m) for m in range(cutoff + 1)]
+        for block in blocks:
+            assert np.array_equal(block.matrix, sliced(block.op_index))
+        pairs, raising = raising_coherence_generator(params, basis)
+        assert np.array_equal(raising, sliced(pairs))
+
     def test_line_convention_roundtrip(self, basis2, params):
         block = regression_block(params, basis2, 1)
         mus = block.eigenvalues()
