@@ -26,11 +26,9 @@ from .hamiltonian import (  # noqa: E402
     DressedLevel,
     build_hamiltonian,
     dressed_levels_analytic,
-    hamiltonian_transition_frequencies,
 )
 from .liouvillian import (  # noqa: E402
     build_generator,
-    dissipator,
     evolve,
     expectation,
     population_block,
@@ -69,9 +67,7 @@ __all__ = [
     "DressedLevel",
     "build_hamiltonian",
     "dressed_levels_analytic",
-    "hamiltonian_transition_frequencies",
     "build_generator",
-    "dissipator",
     "evolve",
     "expectation",
     "population_block",

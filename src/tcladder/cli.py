@@ -32,7 +32,7 @@ from . import eigenanalysis as ea
 from . import liouvillian as lv
 from . import spectrum as sp
 from .space import DickeLabel, SystemParams, bare_operators, build_basis
-from .verify import run_checks
+from .verify import run_checks, select_checks
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -76,7 +76,6 @@ DEFAULT_CONFIG: dict = {
         "max_refinements": 3,
         "target_delta": 0.005,
     },
-    "seed": None,
 }
 
 NAMED_STATES = {
@@ -130,15 +129,93 @@ _INTEGER_FIELDS = (
     ("spectrum.max_refinements", 0),
 )
 
+_NUMBER_FIELDS = (
+    "params.omega0",
+    "params.delta",
+    "params.g",
+    "params.gamma_a",
+    "params.gamma_sigma",
+    "kappa",
+    "collection_time",
+    "grids.t.start",
+    "grids.t.stop",
+    "grids.omega.start",
+    "grids.omega.stop",
+    "sweep.start",
+    "sweep.stop",
+    "spectrum.target_delta",
+)
 
-def _require_integer(config: dict, key_path: str, minimum: int) -> None:
+
+def _lookup(config: dict, key_path: str):
     value = config
     for part in key_path.split("."):
         value = value[part]
-    # bool is an int subclass, but true/false is never a count
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+    return value
+
+
+# bool is an int subclass, but true/false is never a count or a number
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    # the comparison is false for nan and safe for ints too large for a float
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _validate_types(config: dict) -> None:
+    for key_path, minimum in _INTEGER_FIELDS:
+        value = _lookup(config, key_path)
+        if not _is_integer(value) or value < minimum:
+            raise ConfigValidationError(
+                f"{key_path} must be an integer >= {minimum}, got {json.dumps(value)}"
+            )
+    for key_path in _NUMBER_FIELDS:
+        value = _lookup(config, key_path)
+        nullable = _lookup(DEFAULT_CONFIG, key_path) is None
+        if not (_is_number(value) or (nullable and value is None)):
+            kind = "a finite number or null" if nullable else "a finite number"
+            raise ConfigValidationError(
+                f"{key_path} must be {kind}, got {json.dumps(value)}"
+            )
+    manifolds = config["manifolds"]
+    if not (
+        isinstance(manifolds, list)
+        and manifolds
+        and all(_is_integer(n) and n >= 1 for n in manifolds)
+    ):
         raise ConfigValidationError(
-            f"{key_path} must be an integer >= {minimum}, got {json.dumps(value)}"
+            f"manifolds must be a nonempty list of integers >= 1, got {json.dumps(manifolds)}"
+        )
+    state = config["initial_state"]
+    if isinstance(state, str):
+        if state not in NAMED_STATES:
+            raise ConfigValidationError(
+                f"unknown initial_state {state!r}; named states: {sorted(NAMED_STATES)}"
+            )
+    elif isinstance(state, list):
+        labels = tuple(label.value for label in DickeLabel)
+        for row in state:
+            if not (
+                isinstance(row, list)
+                and len(row) == 4
+                and _is_integer(row[0])
+                and row[1] in labels
+                and _is_number(row[2])
+                and _is_number(row[3])
+            ):
+                raise ConfigValidationError(
+                    f"initial_state row {json.dumps(row)} is not "
+                    f"[photons, matter, re, im] with matter in {list(labels)}"
+                )
+    else:
+        raise ConfigValidationError(
+            f"initial_state must be a name or amplitude list, got {json.dumps(state)}"
         )
 
 
@@ -150,8 +227,8 @@ def resolve_config(
     if config_path is not None:
         try:
             user = json.loads(Path(config_path).read_text())
-        except FileNotFoundError:
-            raise ConfigUsageError(f"config file not found: {config_path}")
+        except OSError as exc:
+            raise ConfigUsageError(f"cannot read config file {config_path}: {exc.strerror}")
         except json.JSONDecodeError as exc:
             raise ConfigUsageError(f"config is not valid JSON: {exc}")
         if not isinstance(user, dict):
@@ -162,6 +239,7 @@ def resolve_config(
 
     if config["units"] not in ("g", "absolute"):
         raise ConfigUsageError("units must be 'g' or 'absolute'")
+    _validate_types(config)
     if config["units"] == "g" and config["params"]["g"] != 1.0:
         raise ConfigValidationError("units='g' requires params.g = 1")
     if config["sweep"]["parameter"] not in _SWEEPABLE:
@@ -172,15 +250,10 @@ def resolve_config(
         raise ConfigValidationError(
             "sweeping g is only meaningful with units='absolute'"
         )
-    for key_path, minimum in _INTEGER_FIELDS:
-        _require_integer(config, key_path, minimum)
     if config["operator"] not in sp.OPERATOR_TAGS:
         raise ConfigValidationError(f"operator must be one of {sp.OPERATOR_TAGS}")
     if config["spectrum"]["kernel"] not in ("verbatim", "decaying"):
         raise ConfigValidationError("spectrum.kernel must be 'verbatim' or 'decaying'")
-    manifolds = config["manifolds"]
-    if not manifolds or any((not isinstance(n, int)) or n < 1 for n in manifolds):
-        raise ConfigValidationError("manifolds must be a nonempty list of ints >= 1")
     return config
 
 
@@ -192,50 +265,37 @@ def system_params(config: dict) -> SystemParams:
 
 
 def initial_density_matrix(config: dict, basis) -> np.ndarray:
-    """Build the initial density matrix from a named state or amplitude list.
+    """Build the initial density matrix of a resolved config.
 
-    Explicit amplitudes are ``[photons, matter, re, im]`` rows; the vector
-    must be normalized (deviations below 1e-6 are renormalized away).  The
-    state must live entirely in complete manifolds so that the photon
-    truncation is exact.
+    ``initial_state`` is a named state or a list of explicit
+    ``[photons, matter, re, im]`` amplitude rows; the vector must be
+    normalized (deviations below 1e-6 are renormalized away).  The state
+    must live entirely in complete manifolds so that the photon truncation
+    is exact.
     """
     spec = config["initial_state"]
     vec = np.zeros(basis.dim, dtype=complex)
     if isinstance(spec, str):
-        if spec not in NAMED_STATES:
-            raise ConfigValidationError(
-                f"unknown initial_state {spec!r}; named states: {sorted(NAMED_STATES)}"
-            )
         photons, label = NAMED_STATES[spec]
         if photons > basis.photon_cutoff:
             raise ConfigValidationError(
                 f"initial_state {spec!r} needs photon_cutoff >= {photons}"
             )
         vec[basis.index_of(photons, label)] = 1.0
-    elif isinstance(spec, list):
-        labels = {l.value: l for l in DickeLabel}
+    else:
         for row in spec:
-            try:
-                photons, matter, re, im = row
-                label = labels[matter]
-                photons = int(photons)
-            except (ValueError, TypeError, KeyError):
-                raise ConfigValidationError(
-                    f"bad amplitude row {row!r}; expected [photons, matter, re, im]"
-                )
+            photons, matter, re, im = row
             if not 0 <= photons <= basis.photon_cutoff:
                 raise ConfigValidationError(
-                    f"amplitude row {row!r} exceeds photon_cutoff"
+                    f"initial_state row {json.dumps(row)} exceeds photon_cutoff"
                 )
-            vec[basis.index_of(photons, label)] += complex(re, im)
+            vec[basis.index_of(photons, DickeLabel(matter))] += complex(re, im)
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > 1e-6:
             raise ConfigValidationError(
                 f"initial amplitudes have norm {norm:.8f}, expected 1"
             )
         vec /= norm
-    else:
-        raise ConfigValidationError("initial_state must be a name or amplitude list")
 
     top = max(
         (s.excitation for s, amp in zip(basis.states, vec) if abs(amp) > 1e-12),
@@ -335,13 +395,7 @@ def cmd_criterion(config: dict, out_dir: Path) -> int:
     for n in config["manifolds"]:
         for y in ys:
             local = replace(params, gamma_a=4.0 * y * g, gamma_sigma=0.0)
-            if n == 1:
-                split = max(
-                    abs(l.value.real - local.omega0) for l in ea.eps_manifold1(local)
-                )
-            else:
-                split = float(np.max(np.abs(ea.splitting_roots(n, local).real)))
-            split_rows.append([float(y), n, split / g])
+            split_rows.append([float(y), n, ea.rabi_splitting(n, local) / g])
     _write_csv(
         out_dir / "criterion_splitting.csv",
         "criterion",
@@ -475,14 +529,11 @@ def cmd_spectrum(config: dict, out_dir: Path) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    previous = None
-    if args.debug_perturb_rabi:
-        previous = ea.set_debug_rabi_perturbation(args.debug_perturb_rabi)
     try:
-        results = run_checks(args.checks or None)
-    finally:
-        if previous is not None:
-            ea.set_debug_rabi_perturbation(previous)
+        check_ids = select_checks(args.checks)
+    except ValueError as exc:
+        raise ConfigUsageError(str(exc)) from None
+    results = run_checks(check_ids)
     for result in results:
         print(result.line())
     if args.json:
@@ -504,7 +555,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
             + "\n"
         )
-    return EXIT_OK if results and all(r.passed for r in results) else EXIT_FAIL
+    return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +578,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="override a config field (repeatable)",
     )
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument(
-        "--seed", type=int, default=None, help="reserved; echoed into metadata"
-    )
 
 
 def _build_parser() -> _Parser:
@@ -548,12 +596,6 @@ def _build_parser() -> _Parser:
         "--checks", action="append", help="glob of check ids to run (repeatable)"
     )
     verify.add_argument("--json", help="write a machine-readable report here")
-    verify.add_argument(
-        "--debug-perturb-rabi",
-        type=float,
-        default=0.0,
-        help="debug-only: scale the Rabi frequency by (1+x) before checking",
-    )
     return parser
 
 
@@ -570,8 +612,6 @@ def main(argv: list[str] | None = None) -> int:
         config = resolve_config(args.config, args.overrides)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.seed is not None:
-            config["seed"] = args.seed
         dispatch = {
             "eigen": cmd_eigen,
             "criterion": cmd_criterion,

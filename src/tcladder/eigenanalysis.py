@@ -31,10 +31,8 @@ from .space import SystemParams
 __all__ = [
     "ExceptionalPointError",
     "ComplexEigenenergy",
-    "TransitionEigenvalue",
-    "PopulationEigenvalue",
+    "BlockEigenvalue",
     "SCDiagnostic",
-    "SplittingReport",
     "JCReference",
     "complex_rabi",
     "discriminant",
@@ -42,6 +40,7 @@ __all__ = [
     "eps_manifold1",
     "eps_manifold",
     "complex_eigenenergies",
+    "rabi_splitting",
     "gamma_n",
     "singlet_branch",
     "transition_eigenvalues",
@@ -50,8 +49,6 @@ __all__ = [
     "sc_boundary",
     "perturbative_splitting",
     "jc_reference",
-    "splitting_report",
-    "set_debug_rabi_perturbation",
 ]
 
 #: relative (to g) radius below which parameters count as sitting on the
@@ -61,18 +58,6 @@ __all__ = [
 #: (a few 1e-8 g) at a true exceptional point, so the radius must sit above
 #: that; the trig form stays accurate to 1e-14 all the way down to it.
 EXCEPTIONAL_POINT_TOL = 1e-6
-
-# Debug-only knob: scales every complex Rabi frequency by (1 + x).  Used by
-# the verification suite as a negative control; never set in production code.
-_DEBUG_RABI_PERTURBATION = 0.0
-
-
-def set_debug_rabi_perturbation(value: float) -> float:
-    """Set the debug Rabi perturbation, returning the previous value."""
-    global _DEBUG_RABI_PERTURBATION
-    previous = _DEBUG_RABI_PERTURBATION
-    _DEBUG_RABI_PERTURBATION = float(value)
-    return previous
 
 
 class ExceptionalPointError(ValueError):
@@ -101,18 +86,9 @@ class ComplexEigenenergy:
 
 
 @dataclass(frozen=True)
-class TransitionEigenvalue:
-    """Eigenvalue ``eps_m^(i) - conj(eps_{m-1}^(j))`` of the coherence block."""
-
-    m: int
-    i: int
-    j: int
-    value: complex
-
-
-@dataclass(frozen=True)
-class PopulationEigenvalue:
-    """Eigenvalue ``eps_m^(i) - conj(eps_m^(j))`` of the population block."""
+class BlockEigenvalue:
+    """Eigenvalue ``eps_m^(i) - conj(eps_k^(j))`` of a generator block: the
+    coherence block has ``k = m - 1``, the population block ``k = m``."""
 
     m: int
     i: int
@@ -128,19 +104,6 @@ class SCDiagnostic:
     r_real: bool
     im_q: float
     at_boundary: bool = False
-
-
-@dataclass(frozen=True)
-class SplittingReport:
-    """Everything the cubic machinery knows about one manifold's triplet."""
-
-    n: int
-    rabi: complex
-    discriminant: complex | None
-    roots: tuple[complex, complex, complex]
-    gamma_n: float
-    strong_coupling: bool
-    splitting: float
 
 
 @dataclass(frozen=True)
@@ -172,8 +135,7 @@ def complex_rabi(n: int, params: SystemParams) -> complex:
     if n < 1:
         raise ValueError("need n >= 1")
     g = params.g
-    value = np.sqrt(complex((4 * n - 2) * g * g - _c(params) ** 2))
-    return complex(value) * (1.0 + _DEBUG_RABI_PERTURBATION)
+    return complex(np.sqrt(complex((4 * n - 2) * g * g - _c(params) ** 2)))
 
 
 def discriminant(n: int, params: SystemParams) -> complex:
@@ -231,12 +193,11 @@ def splitting_roots(n: int, params: SystemParams) -> np.ndarray:
     ks = np.arange(1, 4)
     roots = rabi * np.cos((np.arccos(-1j * q) + 2.0 * ks * np.pi) / 3.0) / np.cos(np.pi / 6.0)
 
-    # internal consistency: -iP must solve the companion cubic (skipped under
-    # the deliberate debug perturbation, which must fail checks, not crash)
+    # internal consistency: -iP must solve the companion cubic
     x = -1j * roots
     residual = np.abs(x**3 + k_lin * x - 2.0 * c * g * g)
     scale = max(g**3, abs(k_lin) ** 1.5)
-    if _DEBUG_RABI_PERTURBATION == 0.0 and np.any(residual > 1e-10 * scale):
+    if np.any(residual > 1e-10 * scale):
         raise ArithmeticError(
             f"splitting root cross-check failed: residual {residual.max():.3e}"
         )
@@ -267,7 +228,6 @@ def eps_manifold1(params: SystemParams) -> list[ComplexEigenenergy]:
     g = params.g
     zeta = params.gamma_minus + 0.5j * params.delta
     rabi1 = complex(np.sqrt(complex(2.0 * g * g - zeta * zeta)))
-    rabi1 *= 1.0 + _DEBUG_RABI_PERTURBATION
     center = params.omega0 - params.delta / 2.0 - 1j * params.gamma_plus
     return [
         ComplexEigenenergy(1, 1, center + rabi1),
@@ -306,30 +266,43 @@ def complex_eigenenergies(n: int, params: SystemParams) -> list[ComplexEigenener
     return eps_manifold(n, params)
 
 
-def transition_eigenvalues(
-    m: int, params: SystemParams
-) -> list[TransitionEigenvalue]:
+def rabi_splitting(n: int, params: SystemParams) -> float:
+    """Half the Rabi splitting of manifold ``n >= 1`` at zero detuning.
+
+    The largest distance of a level position from the bare rung energy
+    ``n omega0``: ``|Re R|`` with ``R = sqrt(2 g^2 - gamma_-^2)`` for the
+    first manifold, the largest ``|Re P_k|`` of :func:`splitting_roots` from
+    the second up.  It is exactly zero wherever the rung is weakly coupled.
+    """
+    if params.delta != 0.0:
+        raise ValueError("the Rabi splitting is defined at delta = 0")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n == 1:
+        return max(abs(level.value.real - params.omega0) for level in eps_manifold1(params))
+    return float(np.max(np.abs(splitting_roots(n, params).real)))
+
+
+def transition_eigenvalues(m: int, params: SystemParams) -> list[BlockEigenvalue]:
     """All ``eps_m^(i) - conj(eps_{m-1}^(j))`` of the ``m``-th coherence block."""
     if m < 1:
         raise ValueError("need m >= 1")
     upper = complex_eigenenergies(m, params)
     lower = complex_eigenenergies(m - 1, params)
     return [
-        TransitionEigenvalue(m, up.branch, lo.branch, up.value - np.conj(lo.value))
+        BlockEigenvalue(m, up.branch, lo.branch, up.value - np.conj(lo.value))
         for up in upper
         for lo in lower
     ]
 
 
-def population_eigenvalues(
-    m: int, params: SystemParams
-) -> list[PopulationEigenvalue]:
+def population_eigenvalues(m: int, params: SystemParams) -> list[BlockEigenvalue]:
     """All ``eps_m^(i) - conj(eps_m^(j))`` of the ``m``-th population block."""
     if m < 0:
         raise ValueError("need m >= 0")
     levels = complex_eigenenergies(m, params)
     return [
-        PopulationEigenvalue(m, a.branch, b.branch, a.value - np.conj(b.value))
+        BlockEigenvalue(m, a.branch, b.branch, a.value - np.conj(b.value))
         for a in levels
         for b in levels
     ]
@@ -432,22 +405,3 @@ def jc_reference(n: int, params: SystemParams) -> JCReference:
     g, gm = params.g, params.gamma_minus
     rabi = complex(np.sqrt(complex(n * g * g - gm * gm)))
     return JCReference(n=n, rabi=rabi, strong_coupling=bool(math.sqrt(n) * g > abs(gm)))
-
-
-def splitting_report(n: int, params: SystemParams) -> SplittingReport:
-    """Bundle the cubic-machinery quantities for manifold ``n >= 2`` at
-    zero detuning."""
-    roots = splitting_roots(n, params)
-    try:
-        q = discriminant(n, params)
-    except ExceptionalPointError:
-        q = None
-    return SplittingReport(
-        n=n,
-        rabi=complex_rabi(n, params),
-        discriminant=q,
-        roots=tuple(complex(r) for r in roots),
-        gamma_n=gamma_n(n, params),
-        strong_coupling=sc_criterion(n, params).strong_coupling,
-        splitting=float(np.max(np.abs(roots.real))),
-    )

@@ -11,20 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import (
-    BasisState,
-    DickeLabel,
-    SystemParams,
-    TruncatedBasis,
-    bare_operators,
-)
+from .space import SystemParams, TruncatedBasis, bare_operators
 
 __all__ = [
     "DressedLevel",
     "build_hamiltonian",
     "manifold_block",
     "dressed_levels_analytic",
-    "hamiltonian_transition_frequencies",
 ]
 
 
@@ -64,11 +57,6 @@ def manifold_block(matrix: np.ndarray, basis: TruncatedBasis, n: int) -> np.ndar
     return matrix[sl, sl]
 
 
-def _require_resonance(params: SystemParams) -> None:
-    if params.delta != 0.0:
-        raise ValueError("closed-form dressed levels are only available at delta = 0")
-
-
 def dressed_levels_analytic(n: int, params: SystemParams) -> list[DressedLevel]:
     """Closed-form energies and eigenvectors of manifold ``n`` on resonance.
 
@@ -78,7 +66,8 @@ def dressed_levels_analytic(n: int, params: SystemParams) -> list[DressedLevel]:
     absent for ``n = 1``).  For ``n = 1`` branch 1 does not exist and three
     levels are returned.
     """
-    _require_resonance(params)
+    if params.delta != 0.0:
+        raise ValueError("closed-form dressed levels are only available at delta = 0")
     if n < 1:
         raise ValueError("manifold 0 is the trivial vacuum; use n >= 1")
 
@@ -107,24 +96,3 @@ def dressed_levels_analytic(n: int, params: SystemParams) -> list[DressedLevel]:
     v4[2] = 1.0
     levels.append(DressedLevel(n=n, branch=4, energy=n * w0, state=v4))
     return levels
-
-
-def hamiltonian_transition_frequencies(
-    n: int, params: SystemParams
-) -> list[tuple[int, int, float]]:
-    """All one-photon emission frequencies from manifold ``n`` on resonance.
-
-    Returns ``(upper_branch, lower_branch, frequency)`` for every pair of
-    levels; the frequency is the energy difference.  Manifold 0 counts as a
-    single level with branch index 1 and zero energy.
-    """
-    _require_resonance(params)
-    if n < 1:
-        raise ValueError("need n >= 1: transitions go from manifold n to n - 1")
-
-    upper = [(lv.branch, lv.energy) for lv in dressed_levels_analytic(n, params)]
-    if n == 1:
-        lower = [(1, 0.0)]
-    else:
-        lower = [(lv.branch, lv.energy) for lv in dressed_levels_analytic(n - 1, params)]
-    return [(bi, bj, ei - ej) for (bi, ei) in upper for (bj, ej) in lower]

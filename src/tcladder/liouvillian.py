@@ -39,7 +39,6 @@ from .space import SystemParams, TruncatedBasis, bare_operators
 __all__ = [
     "IntegrationError",
     "SectorBlock",
-    "dissipator",
     "jump_operators",
     "build_generator",
     "evolve",
@@ -55,15 +54,6 @@ __all__ = [
 
 class IntegrationError(RuntimeError):
     """Adaptive propagation failed (e.g. step size underflow)."""
-
-
-def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Rate-free Lindblad dissipator ``2 O rho O+ - O+O rho - rho O+O``."""
-    if op.shape != rho.shape:
-        raise ValueError(f"shape mismatch: {op.shape} vs {rho.shape}")
-    od = op.conj().T
-    odo = od @ op
-    return 2.0 * op @ rho @ od - odo @ rho - rho @ odo
 
 
 def jump_operators(

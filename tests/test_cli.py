@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,12 +7,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcladder.cli import (
     EXIT_FAIL,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     DEFAULT_CONFIG,
+    ConfigUsageError,
+    ConfigValidationError,
     initial_density_matrix,
     main,
     resolve_config,
@@ -55,6 +62,11 @@ class TestConfigHandling:
             == EXIT_USAGE
         )
 
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        code = main(["eigen", "--config", str(tmp_path), "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_invalid_rate_is_validation_failure(self, tmp_path):
         code = main(
             ["eigen", "--set", "params.gamma_a=-1", "--out", str(tmp_path)]
@@ -78,6 +90,17 @@ class TestConfigHandling:
             ("spectrum", "spectrum.max_refinements=-1"),
             ("criterion", "params.delta=0.5"),
             ("eigen", "sweep.num=2.5"),
+            ("eigen", "manifolds=3"),
+            ("eigen", "manifolds=[true]"),
+            ("eigen", "sweep.stop=null"),
+            ("eigen", 'sweep.start="a"'),
+            ("evolve", 'grids.t.stop="x"'),
+            ("spectrum", 'grids.omega.start="a"'),
+            ("spectrum", "collection_time=[1]"),
+            ("evolve", 'initial_state=[[0,"T-1","1",0]]'),
+            ("evolve", 'initial_state=[[0,"T-1",null,0]]'),
+            ("evolve", 'initial_state=[[1.7,"T-1",1,0]]'),
+            ("evolve", 'initial_state=[[true,"T-1",1,0]]'),
         ],
     )
     def test_invalid_input_fails_with_one_line(
@@ -105,14 +128,6 @@ class TestConfigHandling:
         config = json.loads(meta["config"])
         assert config["sweep"]["num"] == 3
         assert len(rows) == 9  # 3 sweep points x 3 first-manifold branches
-
-    def test_seed_echoed_in_metadata(self, tmp_path):
-        code = main(
-            ["eigen", "--set", "sweep.num=2", "--seed", "7", "--out", str(tmp_path)]
-        )
-        assert code == EXIT_OK
-        meta, _, _ = read_csv(tmp_path / "eigen.csv")
-        assert json.loads(meta["config"])["seed"] == 7
 
 
 class TestInitialStates:
@@ -379,14 +394,80 @@ class TestVerifyCommand:
         assert payload[0]["check_id"] == "c07-perturbative-order"
         assert payload[0]["passed"] is True
 
-    def test_rabi_mutation_fails_oracle(self):
-        code = main(
-            ["verify", "--checks", "c02*", "--debug-perturb-rabi", "0.01"]
-        )
-        assert code == EXIT_FAIL
+    def test_unmatched_check_pattern_is_usage_error(self, capsys):
+        assert main(["verify", "--checks", "c01*", "--checks", "zzz"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "tcladder: no check matches 'zzz'\n"
+        assert captured.out == ""
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["eigen", "--frobnicate"]) == EXIT_USAGE
+
+
+def _leaf_paths(node, prefix=""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 4),
+    st.floats(),  # includes nan and both infinities
+    st.text(max_size=4),
+    st.sampled_from(["T-1", "T0", "S", "T1", "vacuum", "absolute", "decaying"]),
+)
+_JSON_VALUES = st.one_of(
+    _SCALARS, st.lists(st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4)), max_size=3)
+)
+_ASSIGNMENTS = st.lists(
+    st.builds(
+        "{}={}".format,
+        st.sampled_from(sorted(_leaf_paths(DEFAULT_CONFIG))),
+        _JSON_VALUES.map(json.dumps),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzz:
+    """Random JSON values at random config leaves never escape ``main``."""
+
+    @settings(max_examples=150)
+    @given(command=st.sampled_from(["eigen", "criterion"]), assignments=_ASSIGNMENTS)
+    def test_main_exits_cleanly(self, fuzz_out, command, assignments):
+        argv = [command, "--set", "sweep.num=4"]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", str(fuzz_out)])
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_NUMERICAL, EXIT_USAGE)
+        assert err.getvalue().count("\n") <= 1
+
+    @settings(max_examples=150)
+    @given(assignments=_ASSIGNMENTS)
+    def test_initial_state_of_resolved_config(self, assignments):
+        try:
+            config = resolve_config(None, assignments)
+        except (ConfigUsageError, ConfigValidationError):
+            return
+        basis = build_basis(config["photon_cutoff"])
+        try:
+            rho = initial_density_matrix(config, basis)
+        except ConfigValidationError:
+            return
+        assert rho.shape == (basis.dim, basis.dim)
+        assert np.trace(rho).real == pytest.approx(1.0)
 
 
 class TestEntryPoint:

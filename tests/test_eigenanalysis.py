@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,9 @@ from tcladder.eigenanalysis import (
     jc_reference,
     perturbative_splitting,
     population_eigenvalues,
+    rabi_splitting,
     sc_boundary,
     sc_criterion,
-    set_debug_rabi_perturbation,
-    splitting_report,
     splitting_roots,
     transition_eigenvalues,
 )
@@ -276,6 +276,28 @@ class TestBoundary:
             assert dist < 1e-3
 
 
+class TestRabiSplitting:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lossless_value(self, n):
+        assert rabi_splitting(n, make_params(g=1.3)) == pytest.approx(
+            1.3 * math.sqrt(4 * n - 2)
+        )
+
+    def test_first_manifold_value(self):
+        p = make_params(gamma_a=0.8, gamma_sigma=0.2)  # gamma_- = 0.15
+        assert rabi_splitting(1, p) == pytest.approx(math.sqrt(2 - 0.15**2))
+
+    def test_zero_beyond_boundary(self):
+        for n in (1, 2, 3):
+            assert rabi_splitting(n, make_params(gamma_a=4 * (sc_boundary(n) + 0.1))) == 0.0
+
+    def test_requires_resonance_and_positive_n(self):
+        with pytest.raises(ValueError):
+            rabi_splitting(1, make_params(delta=0.1))
+        with pytest.raises(ValueError):
+            rabi_splitting(0, make_params())
+
+
 class TestPerturbativeSplitting:
     def test_leading_order(self):
         assert np.allclose(
@@ -346,24 +368,10 @@ class TestOracleEquivalence:
         assert worst < 1e-8
 
     def test_debug_perturbation_breaks_equivalence(self):
+        # closed forms at a 1% larger coupling must not match the blocks
         basis = build_basis(2)
         p = make_params(gamma_a=0.8, gamma_sigma=0.3)
-        previous = set_debug_rabi_perturbation(0.01)
-        try:
-            lines = regression_block(p, basis, 2).line_values()
-            expected = np.array([t.value for t in transition_eigenvalues(2, p)])
-            assert assignment_distance(lines, expected) > 1e-8
-        finally:
-            set_debug_rabi_perturbation(previous)
-
-
-class TestSplittingReport:
-    def test_report_fields(self):
-        p = make_params(gamma_a=0.8, gamma_sigma=0.2)
-        report = splitting_report(2, p)
-        assert report.gamma_n == pytest.approx(1.0)
-        assert abs(sum(report.roots)) < 1e-12
-        assert report.splitting == pytest.approx(
-            max(abs(r.real) for r in report.roots)
-        )
-        assert report.strong_coupling
+        lines = regression_block(p, basis, 2).line_values()
+        wrong = replace(p, g=1.01 * p.g)
+        expected = np.array([t.value for t in transition_eigenvalues(2, wrong)])
+        assert assignment_distance(lines, expected) > 1e-8

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from tcladder.hamiltonian import (
-    build_hamiltonian,
-    dressed_levels_analytic,
-    hamiltonian_transition_frequencies,
-    manifold_block,
-)
+from tcladder.eigenanalysis import transition_eigenvalues
+from tcladder.hamiltonian import build_hamiltonian, dressed_levels_analytic, manifold_block
 from tcladder.space import DickeLabel, SystemParams, bare_operators, build_basis
 
 
@@ -122,9 +118,17 @@ class TestDressedLevels:
 
 
 class TestTransitionFrequencies:
+    """At zero loss the coherence-block lines are the one-photon emission
+    frequencies between dressed levels."""
+
+    @staticmethod
+    def _lines(n, params):
+        values = [t.value for t in transition_eigenvalues(n, params)]
+        assert all(abs(v.imag) < 1e-12 for v in values)
+        return [v.real for v in values]
+
     def test_first_manifold_lines(self):
-        lines = hamiltonian_transition_frequencies(1, _params())
-        values = sorted(v for (_, _, v) in lines)
+        values = sorted(self._lines(1, _params()))
         assert np.allclose(values, [5 - np.sqrt(2), 5, 5 + np.sqrt(2)], atol=1e-12)
 
     def test_second_manifold_distinct_count(self):
@@ -132,14 +136,14 @@ class TestTransitionFrequencies:
         upper = [0.0, np.sqrt(6), -np.sqrt(6)]
         lower = [np.sqrt(2), -np.sqrt(2), 0.0]
         expected = sorted({round(5.0 + u - l, 12) for u in upper for l in lower})
-        lines = hamiltonian_transition_frequencies(2, _params())
+        lines = self._lines(2, _params())
         assert len(lines) == 12
-        distinct = sorted({round(v, 12) for (_, _, v) in lines})
+        distinct = sorted({round(v, 12) for v in lines})
         assert len(distinct) == 9
         assert np.allclose(distinct, expected, atol=1e-12)
 
     def test_weak_coupling_collapse(self):
         params = _params(g=1e-12)
         for n in (1, 2, 3):
-            for (_, _, v) in hamiltonian_transition_frequencies(n, params):
+            for v in self._lines(n, params):
                 assert abs(v - 5.0) < 1e-10

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from tcladder.eigenanalysis import population_eigenvalues, transition_eigenvalues
 from tcladder.hamiltonian import build_hamiltonian
 from tcladder.liouvillian import (
     build_generator,
-    dissipator,
     evolve,
     expectation,
     generator_eig_to_line,
@@ -24,34 +21,6 @@ def _pure(basis, photons, label):
     k = basis.index_of(photons, label)
     rho[k, k] = 1.0
     return rho
-
-
-class TestDissipator:
-    def test_single_photon_decay_channel(self, basis2):
-        ops = bare_operators(basis2)
-        rho = _pure(basis2, 1, DickeLabel.T_MINUS)
-        out = dissipator(ops.a, rho)
-        expected = 2.0 * (_pure(basis2, 0, DickeLabel.T_MINUS) - rho)
-        assert np.allclose(out, expected, atol=1e-14)
-
-    def test_vacuum_is_dark(self, basis2):
-        ops = bare_operators(basis2)
-        vac = _pure(basis2, 0, DickeLabel.T_MINUS)
-        assert np.max(np.abs(dissipator(ops.a, vac))) == 0.0
-
-    def test_shape_mismatch(self, basis2):
-        with pytest.raises(ValueError):
-            dissipator(np.eye(3), np.eye(4))
-
-    @given(seed=st.integers(0, 2**32 - 1), channel=st.sampled_from(["a", "sigma1", "sigma2"]))
-    def test_traceless_on_hermitian_states(self, basis2, seed, channel):
-        rng = np.random.default_rng(seed)
-        raw = rng.normal(size=(basis2.dim, basis2.dim)) + 1j * rng.normal(
-            size=(basis2.dim, basis2.dim)
-        )
-        rho = raw + raw.conj().T
-        op = getattr(bare_operators(basis2), channel)
-        assert abs(np.trace(dissipator(op, rho))) < 1e-12 * np.abs(rho).max()
 
 
 class TestGenerator:
