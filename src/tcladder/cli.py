@@ -11,8 +11,9 @@ individual fields.  Rates are given either in units of the coupling
 (``units: "absolute"``).  Every output embeds the fully resolved config so a
 dataset is reproducible from its own header.
 
-Exit codes: 0 success, 1 verification or validation failure, 2 numerical
-failure, 64 usage error.
+Exit codes: 0 success, 1 verification or validation failure (an input out
+of floating-point range included), 2 a closed form failing its own
+cross-check, 64 usage error (an output that cannot be written included).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import __version__
 from . import eigenanalysis as ea
 from . import liouvillian as lv
 from . import spectrum as sp
-from .space import DickeLabel, SystemParams, bare_operators, build_basis
+from .space import DickeLabel, SystemParams, build_basis
 from .verify import run_checks, select_checks
 
 EXIT_OK = 0
@@ -416,7 +417,7 @@ def cmd_evolve(config: dict, out_dir: Path) -> int:
     t_grid = np.linspace(grid_cfg["start"], grid_cfg["stop"], int(grid_cfg["num"]))
     traj = lv.evolve(rho0, params, basis, t_grid)
 
-    ops = bare_operators(basis)
+    ops = basis.operators
     photon_number = ops.a.conj().T @ ops.a
     pop1 = ops.sigma1.conj().T @ ops.sigma1
     pop2 = ops.sigma2.conj().T @ ops.sigma2
@@ -619,13 +620,16 @@ def main(argv: list[str] | None = None) -> int:
             "spectrum": cmd_spectrum,
         }
         return dispatch[args.command](config, out_dir)
-    except ConfigUsageError as exc:
+    except (ConfigUsageError, OSError) as exc:
         print(f"tcladder: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConfigValidationError, ValueError) as exc:
         print(f"tcladder: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (lv.IntegrationError, ArithmeticError) as exc:
+    except OverflowError as exc:
+        print(f"tcladder: input out of floating-point range: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except ea.SplittingCrossCheckError as exc:
         print(f"tcladder: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

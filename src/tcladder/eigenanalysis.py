@@ -30,6 +30,7 @@ from .space import SystemParams
 
 __all__ = [
     "ExceptionalPointError",
+    "SplittingCrossCheckError",
     "ComplexEigenenergy",
     "BlockEigenvalue",
     "SCDiagnostic",
@@ -62,6 +63,10 @@ EXCEPTIONAL_POINT_TOL = 1e-6
 
 class ExceptionalPointError(ValueError):
     """The complex Rabi frequency vanished; the requested quantity is 0/0."""
+
+
+class SplittingCrossCheckError(ArithmeticError):
+    """The splitting roots failed to solve their own cubic."""
 
 
 @dataclass(frozen=True)
@@ -198,7 +203,7 @@ def splitting_roots(n: int, params: SystemParams) -> np.ndarray:
     residual = np.abs(x**3 + k_lin * x - 2.0 * c * g * g)
     scale = max(g**3, abs(k_lin) ** 1.5)
     if np.any(residual > 1e-10 * scale):
-        raise ArithmeticError(
+        raise SplittingCrossCheckError(
             f"splitting root cross-check failed: residual {residual.max():.3e}"
         )
     return _sort_roots(roots)

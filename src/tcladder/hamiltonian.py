@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import SystemParams, TruncatedBasis, bare_operators
+from .space import SystemParams, TruncatedBasis
 
 __all__ = [
     "DressedLevel",
@@ -42,7 +42,7 @@ def build_hamiltonian(params: SystemParams, basis: TruncatedBasis) -> np.ndarray
     Commutes with the excitation number operator, so the matrix is block
     diagonal over the manifolds.
     """
-    ops = bare_operators(basis)
+    ops = basis.operators
     h = params.omega0 * ops.a.conj().T @ ops.a
     emitter_freq = params.omega0 - params.delta
     for sigma in (ops.sigma1, ops.sigma2):

@@ -18,7 +18,9 @@ an index slice of it: the average of the basis operator ``|row><col|`` is
 ``col * dim + row``, so the block on a list of ``(row, col)`` pairs is
 ``build_generator(...)[np.ix_(idx, idx)]`` with ``idx = col * dim + row``.
 Blocks are computed on those indices directly, never through the full
-matrix.
+matrix.  So is propagation: H conserves the excitation number and every
+decay lowers it, so :func:`evolve` builds the generator only on the manifolds
+the initial state touches and steps it with exact matrix exponentials.
 
 Eigenvalue convention: blocks generate real-time dynamics ``dx/dt = M x``.
 Multiplying an eigenvalue of ``M`` by ``1j`` (:func:`generator_eig_to_line`)
@@ -28,16 +30,15 @@ whose imaginary part is minus half the linewidth.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .space import SystemParams, TruncatedBasis, bare_operators
+from .space import SystemParams, TruncatedBasis
 
 __all__ = [
-    "IntegrationError",
     "SectorBlock",
     "jump_operators",
     "build_generator",
@@ -52,15 +53,11 @@ __all__ = [
 ]
 
 
-class IntegrationError(RuntimeError):
-    """Adaptive propagation failed (e.g. step size underflow)."""
-
-
 def jump_operators(
     params: SystemParams, basis: TruncatedBasis
 ) -> list[tuple[float, np.ndarray]]:
     """The three decay channels as ``(rate, operator)`` pairs."""
-    ops = bare_operators(basis)
+    ops = basis.operators
     return [
         (params.gamma_a, ops.a),
         (params.gamma_sigma, ops.sigma1),
@@ -117,65 +114,64 @@ def build_generator(params: SystemParams, basis: TruncatedBasis) -> np.ndarray:
     return _generator(params, basis, np.tile(index, dim), np.repeat(index, dim))
 
 
+def _propagate(gen: np.ndarray, x0: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``expm(gen t) @ x0`` at every ``t`` of a strictly increasing grid from 0.
+
+    Steps are exact exponentials, valid where ``gen`` is defective (at
+    exceptional points).  A grid whose points all lie within
+    ``1e-12 * grid[-1]`` of ``k h`` is uniform and takes one exponential; any
+    other grid takes one per interval.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
+        raise ValueError("time grids must be 1-d, strictly increasing and start at 0")
+    out = np.empty((grid.size, *x0.shape), dtype=complex)
+    out[0] = x0
+    if grid.size > 1:
+        h = grid[-1] / (grid.size - 1)
+        if np.max(np.abs(grid - h * np.arange(grid.size))) <= 1e-12 * grid[-1]:
+            steps = itertools.repeat(expm(gen * h))
+        else:
+            steps = (expm(gen * dt) for dt in np.diff(grid))
+        for k, step in zip(range(1, grid.size), steps):
+            out[k] = step @ out[k - 1]
+    return out
+
+
+def _live_trajectory(
+    rho0: np.ndarray, params: SystemParams, basis: TruncatedBasis, t_grid: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """The highest manifold ``M`` that ``rho0`` touches, and ``rho(t)`` on the
+    states of manifolds ``0..M``, the leading ``k`` basis states (shape
+    ``(n_t, k, k)``).  The generator maps the operators between those states
+    into themselves, so it is built and propagated on them only.
+    """
+    if rho0.shape != (basis.dim, basis.dim):
+        raise ValueError(f"rho0 shape {rho0.shape} does not match basis dim {basis.dim}")
+    touched = np.flatnonzero(np.any(rho0 != 0, axis=0) | np.any(rho0 != 0, axis=1))
+    top = basis.states[touched.max()].excitation if touched.size else 0
+    k = basis.manifold_index[top][-1] + 1
+    index = np.arange(k)
+    gen = _generator(params, basis, np.tile(index, k), np.repeat(index, k))
+    return top, _propagate(gen, rho0[:k, :k].reshape(-1), t_grid).reshape(-1, k, k)
+
+
 def evolve(
     rho0: np.ndarray,
     params: SystemParams,
     basis: TruncatedBasis,
     t_grid: np.ndarray,
-    method: str = "adaptive",
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
 ) -> np.ndarray:
     """Propagate a density matrix over ``t_grid`` (must start at 0).
 
-    ``method="adaptive"`` uses high-order adaptive stepping with per-step
-    error control; ``method="expm"`` uses the exact matrix exponential per
-    grid interval.  The trace is never renormalized: trace drift is a
-    diagnostic of integration quality, not something to hide.
+    Exact on the manifolds ``rho0`` can reach.  The trace is never
+    renormalized: trace drift is a diagnostic, not something to hide.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] != 0.0:
-        raise ValueError("t_grid must be a 1-d grid starting at 0")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-    dim = basis.dim
-    if rho0.shape != (dim, dim):
-        raise ValueError(f"rho0 shape {rho0.shape} does not match basis dim {dim}")
-
-    gen = build_generator(params, basis)
-    y0 = rho0.astype(complex).reshape(-1)
-    if t_grid.size == 1:
-        return y0.reshape(1, dim, dim).copy()
-
-    if method == "adaptive":
-        sol = solve_ivp(
-            lambda _t, y: gen @ y,
-            (0.0, float(t_grid[-1])),
-            y0,
-            t_eval=t_grid,
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-        )
-        if not sol.success:
-            raise IntegrationError(
-                f"propagation failed near t = {sol.t[-1] if sol.t.size else 0.0:g} "
-                f"of [0, {t_grid[-1]:g}]: {sol.message}"
-            )
-        return sol.y.T.reshape(-1, dim, dim)
-    if method == "expm":
-        out = np.empty((t_grid.size, dim, dim), dtype=complex)
-        out[0] = rho0
-        y = y0.copy()
-        steps: dict[float, np.ndarray] = {}
-        for k in range(1, t_grid.size):
-            dt = float(t_grid[k] - t_grid[k - 1])
-            if dt not in steps:
-                steps[dt] = expm(gen * dt)
-            y = steps[dt] @ y
-            out[k] = y.reshape(dim, dim)
-        return out
-    raise ValueError(f"unknown method {method!r}")
+    _, live = _live_trajectory(rho0, params, basis, t_grid)
+    k = live.shape[1]
+    out = np.zeros((live.shape[0], basis.dim, basis.dim), dtype=complex)
+    out[:, :k, :k] = live
+    return out
 
 
 def expectation(rho: np.ndarray, op: np.ndarray) -> complex:

@@ -123,13 +123,18 @@ class TruncatedBasis:
     """Ordered basis with ``photon_cutoff + 1`` photon sectors (4 states each).
 
     ``manifold_index`` maps the excitation number ``n`` to the (contiguous)
-    indices of the manifold's states.
+    indices of the manifold's states.  ``operators`` holds the bare operators
+    over this basis, built once with the basis.
     """
 
     photon_cutoff: int
     states: tuple[BasisState, ...]
     manifold_index: dict[int, tuple[int, ...]] = field(repr=False)
     _lookup: dict[BasisState, int] = field(repr=False)
+    operators: BareOperators = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "operators", bare_operators(self))
 
     @property
     def dim(self) -> int:
@@ -256,6 +261,8 @@ def bare_operators(basis: TruncatedBasis) -> BareOperators:
                 amp = matrix[row, col]
                 if amp != 0:
                     out[basis.index_of(state.photons, target), j] = amp
+    for matrix in (a, sigma1, sigma2, number):
+        matrix.setflags(write=False)
     return BareOperators(a=a, sigma1=sigma1, sigma2=sigma2, number=number)
 
 

@@ -22,6 +22,7 @@ from tcladder.cli import (
     main,
     resolve_config,
 )
+from tcladder import eigenanalysis as ea
 from tcladder.space import DickeLabel, build_basis
 
 
@@ -112,6 +113,22 @@ class TestConfigHandling:
         assert err.startswith("tcladder: ") and err.count("\n") == 1
         assert assignment.partition("=")[0] in err
         assert not list(tmp_path.iterdir())
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code = main(["eigen", "--set", "sweep.num=2", "--out", str(target)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("tcladder: ") and err.count("\n") == 1
+
+    def test_out_below_a_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code = main(["eigen", "--set", "sweep.num=2", "--out", str(target / "sub")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("tcladder: ") and err.count("\n") == 1
 
     def test_set_overrides_nested_field(self, tmp_path):
         code = main(
@@ -286,6 +303,32 @@ class TestCriterionCommand:
                     assert s == 0.0
 
 
+class TestNumericalFailure:
+    def test_cross_check_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a wrong discriminant gives roots that fail the companion cubic
+        monkeypatch.setattr(ea, "discriminant", lambda n, params: 0.3 + 0.0j)
+        code = main(["eigen", "--set", "sweep.num=2", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("tcladder: numerical failure: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eigen", "spectrum"])
+    def test_overflowing_input_is_validation_failure(self, tmp_path, capsys, command):
+        # c = 2 gamma_- + i delta squares past the largest double
+        code = main([command, "--set", "params.delta=1e300", "--out", str(tmp_path)])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("tcladder: ") and err.count("\n") == 1
+
+    def test_other_arithmetic_error_is_not_numerical_failure(self, tmp_path, monkeypatch):
+        def broken(n, params):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(ea, "complex_eigenenergies", broken)
+        with pytest.raises(ZeroDivisionError):
+            main(["eigen", "--set", "sweep.num=2", "--out", str(tmp_path)])
+
+
 class TestEvolveCommand:
     def test_columns_and_conservation(self, tmp_path):
         code = main(
@@ -447,6 +490,24 @@ class TestFuzz:
     def test_main_exits_cleanly(self, fuzz_out, command, assignments):
         argv = [command, "--set", "sweep.num=4"]
         for assignment in assignments:
+            argv += ["--set", assignment]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", str(fuzz_out)])
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_NUMERICAL, EXIT_USAGE)
+        assert err.getvalue().count("\n") <= 1
+
+    @settings(max_examples=150)
+    @given(command=st.sampled_from(["evolve", "spectrum"]), assignments=_ASSIGNMENTS)
+    def test_propagating_commands_exit_cleanly(self, fuzz_out, command, assignments):
+        argv = [command]
+        for assignment in (
+            "grids.t.num=5",
+            "grids.omega.num=16",
+            "spectrum.n_time=8",
+            "spectrum.max_refinements=1",
+            *assignments,
+        ):
             argv += ["--set", assignment]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

@@ -1,6 +1,13 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import expm_multiply
 
+from tcladder.cli import initial_density_matrix
 from tcladder.eigenanalysis import population_eigenvalues, transition_eigenvalues
 from tcladder.hamiltonian import build_hamiltonian
 from tcladder.liouvillian import (
@@ -98,12 +105,13 @@ class TestEvolve:
         singlets = [basis2.index_of(p, DickeLabel.SINGLET) for p in range(3)]
         assert np.max(np.abs(traj[:, singlets, singlets])) < 1e-12
 
-    def test_backends_agree(self, basis2, params):
+    def test_matches_dense_generator_exponential(self, basis2, params):
         t = np.linspace(0.0, 5.0, 11)
         rho0 = _pure(basis2, 0, DickeLabel.T_PLUS)
-        adaptive = evolve(rho0, params, basis2, t, method="adaptive")
-        exact = evolve(rho0, params, basis2, t, method="expm")
-        assert np.max(np.abs(adaptive - exact)) < 1e-8
+        gen = build_generator(params, basis2)
+        dense = np.array([expm(gen * x) @ rho0.reshape(-1) for x in t])
+        got = evolve(rho0, params, basis2, t).reshape(t.size, -1)
+        assert np.max(np.abs(got - dense)) < 1e-12
 
     def test_grid_validation(self, basis2, params):
         rho0 = _pure(basis2, 0, DickeLabel.T_MINUS)
@@ -111,6 +119,76 @@ class TestEvolve:
             evolve(rho0, params, basis2, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             evolve(rho0, params, basis2, np.array([0.0, 2.0, 1.0]))
+
+
+def _coherent_0_2(basis):
+    """The amplitude-row state (|0,T-1> + i|0,T1>)/sqrt(2): coherence between
+    manifolds 0 and 2."""
+    r = 1.0 / math.sqrt(2.0)
+    rows = [[0, "T-1", r, 0.0], [0, "T1", 0.0, r]]
+    return initial_density_matrix({"initial_state": rows}, basis)
+
+
+_STATES = {
+    "both-excited": lambda basis: _pure(basis, 0, DickeLabel.T_PLUS),
+    "one-photon": lambda basis: _pure(basis, 1, DickeLabel.T_MINUS),
+    "coherent-0-2": _coherent_0_2,
+}
+_GRIDS = {
+    "uniform": np.linspace(0.0, 12.0, 9),
+    "nonuniform": np.array([0.0, 0.05, 0.3, 1.75, 4.0, 12.0]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _sparse_generator(params, cutoff):
+    return csr_matrix(build_generator(params, build_basis(cutoff)))
+
+
+def _dense_oracle(params, basis, rho0, t_grid):
+    """``expm(G t) vec(rho0)`` with the full generator ``G``, taken as the
+    action of the exponential (Al-Mohy and Higham) step by step: a dense
+    ``expm`` of the 1296 x 1296 generator at cutoff 8 takes seconds."""
+    gen = _sparse_generator(params, basis.photon_cutoff)
+    out = [rho0.reshape(-1).astype(complex)]
+    for dt in np.diff(t_grid):
+        out.append(expm_multiply(gen * dt, out[-1]))
+    return np.array(out)
+
+
+class TestReachableSubspace:
+    """``evolve`` on the reachable subspace against the full generator."""
+
+    @pytest.mark.parametrize("grid", sorted(_GRIDS))
+    @pytest.mark.parametrize("state", sorted(_STATES))
+    @pytest.mark.parametrize("cutoff", [2, 3, 8])
+    def test_matches_dense_oracle(self, cutoff, state, grid):
+        basis = build_basis(cutoff)
+        params = SystemParams(omega0=10.0, delta=0.3, g=1.0, gamma_a=0.3, gamma_sigma=0.15)
+        rho0 = _STATES[state](basis)
+        t = _GRIDS[grid]
+        got = evolve(rho0, params, basis, t).reshape(t.size, -1)
+        assert np.max(np.abs(got - _dense_oracle(params, basis, rho0, t))) < 1e-12
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-6, -1e-6])
+    @pytest.mark.parametrize("state", sorted(_STATES))
+    def test_exceptional_point(self, state, offset):
+        # R_1 = sqrt(2 g^2 - gamma_-^2) vanishes at gamma_a = 4 sqrt(2) g
+        basis = build_basis(2)
+        params = SystemParams(
+            omega0=10.0, delta=0.0, g=1.0,
+            gamma_a=4.0 * math.sqrt(2.0) + offset, gamma_sigma=0.0,
+        )
+        rho0 = _STATES[state](basis)
+        for t in _GRIDS.values():
+            got = evolve(rho0, params, basis, t).reshape(t.size, -1)
+            assert np.max(np.abs(got - _dense_oracle(params, basis, rho0, t))) < 1e-12
+
+    def test_outside_reach_stays_zero(self, basis3, params):
+        # both-excited touches manifolds 0..2, the leading 8 basis states
+        traj = evolve(_pure(basis3, 0, DickeLabel.T_PLUS), params, basis3, _GRIDS["uniform"])
+        assert not np.any(traj[:, 8:, :]) and not np.any(traj[:, :, 8:])
+        assert np.max(np.abs(traj[-1, :8, :8])) > 0.1
 
 
 class TestExpectation:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from tcladder.liouvillian import build_generator, evolve
+import tcladder
+from tcladder import liouvillian, spectrum
+from tcladder.liouvillian import build_generator, evolve, raising_coherence_generator
 from tcladder.space import DickeLabel, SystemParams, bare_operators, build_basis
 from tcladder.spectrum import (
     default_collection_time,
@@ -302,3 +304,77 @@ class TestPeakTable:
         table = peak_table(params, 2)
         central = [r for r in table.rows if abs(r.position - 10.0) < 1e-9]
         assert all(r.multiplicity == len(central) for r in central)
+
+
+def _per_tau_pass(operator, rho0, params, basis, kappa, collection_time, omega_grid, sign, n_time):
+    """The quadrature pass as a loop over the delay, stepping the whole
+    raising family and summing each inner trapezoid on its own."""
+    grid = np.linspace(0.0, collection_time, n_time + 1)
+    h = collection_time / n_time
+    traj = evolve(rho0, params, basis, grid)
+    pairs, gen = raising_coherence_generator(params, basis)
+    gen = gen - 1j * params.omega0 * np.eye(len(pairs))
+    op = getattr(basis.operators, operator)
+    rows, cols = np.array(pairs).T
+    v = np.stack([(op @ rho)[cols, rows] for rho in traj], axis=1)
+    coeff = op[cols, rows].conj()
+    step = expm(gen * h)
+    wt = np.exp(-2.0 * kappa * (collection_time - grid))
+    inner = np.empty(n_time + 1, dtype=complex)
+    for j in range(n_time + 1):
+        f = wt * (coeff @ v)
+        top = n_time - j
+        inner[j] = 0.0 if top == 0 else h * (f[: top + 1].sum() - 0.5 * (f[0] + f[top]))
+        if j < n_time:
+            v = step @ v
+    tau_weights = np.full(n_time + 1, h)
+    tau_weights[0] *= 0.5
+    tau_weights[-1] *= 0.5
+    rate = sign * kappa - 1j * (omega_grid - params.omega0)
+    kernel = np.exp(rate[:, None] * grid[None, :])
+    return 2.0 * kappa * np.real(kernel @ (tau_weights * inner))
+
+
+class TestFusedPass:
+    PARAMS = SystemParams(omega0=10.0, delta=0.2, g=1.0, gamma_a=0.1, gamma_sigma=0.05)
+    OMEGA = np.linspace(7.0, 13.0, 121)
+
+    @classmethod
+    def _args(cls, operator):
+        basis = build_basis(2)
+        rho0 = 0.7 * _pure(basis, 0, DickeLabel.T_PLUS) + 0.3 * _pure(
+            basis, 1, DickeLabel.T_MINUS
+        )
+        return (operator, rho0, cls.PARAMS, basis, 0.05, 40.0, cls.OMEGA, -1.0, 600)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return {op: _per_tau_pass(*self._args(op)) for op in ("a", "sigma1")}
+
+    # n_time = 600: the default blocks hold 436 and 164 delay rows; 7000
+    # entries give blocks of 11 rows with 6 left over; 1 gives one row each
+    @pytest.mark.parametrize("chunk", [spectrum._CHUNK_ELEMENTS, 7000, 1])
+    @pytest.mark.parametrize("operator", ["a", "sigma1"])
+    def test_matches_per_tau_loop(self, monkeypatch, reference, operator, chunk):
+        monkeypatch.setattr(spectrum, "_CHUNK_ELEMENTS", chunk)
+        fused = spectrum._spectrum_pass(*self._args(operator))
+        expected = reference[operator]
+        assert np.max(np.abs(fused - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+class TestNoFullGenerator:
+    def test_full_generator_never_built(self, monkeypatch, basis3, params):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the full generator was built")
+
+        for module in (tcladder, liouvillian):
+            monkeypatch.setattr(module, "build_generator", refuse)
+        rho0 = _pure(basis3, 0, DickeLabel.T_PLUS)
+        t = np.linspace(0.0, 4.0, 9)
+        evolve(rho0, params, basis3, t)
+        two_time_correlation("a", rho0, params, basis3, t, t)
+        physical_spectrum(
+            "a", rho0, params, basis3, kappa=0.1, collection_time=20.0,
+            omega_grid=np.linspace(8.0, 12.0, 41), n_time=32, max_refinements=1,
+            target_delta=1.0,
+        )
