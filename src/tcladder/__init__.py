@@ -20,7 +20,6 @@ from .space import (  # noqa: E402
     TruncatedBasis,
     bare_operators,
     build_basis,
-    manifold_projector,
 )
 from .hamiltonian import (  # noqa: E402
     DressedLevel,
@@ -30,7 +29,6 @@ from .hamiltonian import (  # noqa: E402
 from .liouvillian import (  # noqa: E402
     build_generator,
     evolve,
-    expectation,
     population_block,
     regression_block,
 )
@@ -63,13 +61,11 @@ __all__ = [
     "TruncatedBasis",
     "bare_operators",
     "build_basis",
-    "manifold_projector",
     "DressedLevel",
     "build_hamiltonian",
     "dressed_levels_analytic",
     "build_generator",
     "evolve",
-    "expectation",
     "population_block",
     "regression_block",
     "ComplexEigenenergy",

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -270,9 +269,9 @@ def initial_density_matrix(config: dict, basis) -> np.ndarray:
 
     ``initial_state`` is a named state or a list of explicit
     ``[photons, matter, re, im]`` amplitude rows; the vector must be
-    normalized (deviations below 1e-6 are renormalized away).  The state
-    must live entirely in complete manifolds so that the photon truncation
-    is exact.
+    normalized (deviations below 1e-6 are renormalized away).  Whether the
+    photon cutoff holds the state exactly is decided where it is propagated
+    (:func:`tcladder.liouvillian.top_manifold`).
     """
     spec = config["initial_state"]
     vec = np.zeros(basis.dim, dtype=complex)
@@ -297,16 +296,6 @@ def initial_density_matrix(config: dict, basis) -> np.ndarray:
                 f"initial amplitudes have norm {norm:.8f}, expected 1"
             )
         vec /= norm
-
-    top = max(
-        (s.excitation for s, amp in zip(basis.states, vec) if abs(amp) > 1e-12),
-        default=0,
-    )
-    if top > basis.photon_cutoff:
-        raise ConfigValidationError(
-            f"initial state reaches manifold {top}; photon truncation is exact "
-            f"only up to manifold {basis.photon_cutoff} at this cutoff"
-        )
     return np.outer(vec, vec.conj())
 
 
@@ -382,8 +371,7 @@ def cmd_criterion(config: dict, out_dir: Path) -> int:
     ys = np.linspace(1e-4, 2.5, 400)
     contour_rows = []
     for y in ys:
-        n_contour = (4.0 * y * y + 2.0 - (6.0 * math.sqrt(3.0) * y) ** (2.0 / 3.0)) / 4.0
-        contour_rows.append([float(y), float(n_contour)])
+        contour_rows.append([float(y), float(ea.sc_contour(y))])
     _write_csv(
         out_dir / "criterion_contour.csv",
         "criterion",
@@ -492,12 +480,7 @@ def cmd_spectrum(config: dict, out_dir: Path) -> int:
     rows = [[float(w), float(s)] for w, s in zip(series.omega_grid, series.values)]
     _write_csv(out_dir / "spectrum.csv", "spectrum", config, ["omega", "s"], rows)
 
-    populations = np.einsum("ii->i", rho0).real
-    m_max = max(
-        (s.excitation for s, p in zip(basis.states, populations) if p > 1e-12),
-        default=1,
-    )
-    table = sp.peak_table(params, max(m_max, 1))
+    table = sp.peak_table(params, max(lv.top_manifold(rho0, basis), 1))
     sidecar = {
         "tcladder_version": __version__,
         "command": "spectrum",
@@ -619,14 +602,17 @@ def main(argv: list[str] | None = None) -> int:
             "evolve": cmd_evolve,
             "spectrum": cmd_spectrum,
         }
-        return dispatch[args.command](config, out_dir)
+        # a finite input that drives the numerics to inf or nan fails here
+        # instead of writing them
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return dispatch[args.command](config, out_dir)
     except (ConfigUsageError, OSError) as exc:
         print(f"tcladder: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConfigValidationError, ValueError) as exc:
         print(f"tcladder: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         print(f"tcladder: input out of floating-point range: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ea.SplittingCrossCheckError as exc:

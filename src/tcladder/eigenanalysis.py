@@ -48,6 +48,7 @@ __all__ = [
     "population_eigenvalues",
     "sc_criterion",
     "sc_boundary",
+    "sc_contour",
     "perturbative_splitting",
     "jc_reference",
 ]
@@ -344,35 +345,28 @@ def sc_criterion(n: int, params: SystemParams) -> SCDiagnostic:
     )
 
 
-def _boundary_gap(y: float, n: int) -> float:
-    """Positive inside the strong-coupling region, negative outside."""
-    return 6.0 * math.sqrt(3.0) * y - (4.0 * y * y - (4.0 * n - 2.0)) ** 1.5
-
-
 def sc_boundary(n: int) -> float:
     """The ``gamma_-/g`` value where the splitting of manifold ``n`` closes.
 
-    Unique root of ``6 sqrt(3) y = (4 y^2 - (4n-2))^(3/2)`` above
-    ``sqrt(4n-2)/2``, found by bisection (guaranteed bracketing, no
-    derivative bookkeeping).
+    Root ``y`` above ``sqrt(4n-2)/2`` of ``6 sqrt(3) y = (4 y^2 - (4n-2))^(3/2)``.
+    With ``s = y^(2/3)`` it is the real root of ``s^3 - p s - (n - 1/2) = 0``,
+    ``p = 108^(1/3)/4``.  That cubic has one positive root for every
+    ``n >= 1``, taken in its cosh form; at ``n = 1`` the other two merge and
+    ``y = sqrt(2)``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    lo = math.sqrt(4.0 * n - 2.0) / 2.0 * (1.0 + 1e-14)
-    hi = lo + 1.0
-    while _boundary_gap(hi, n) > 0.0:
-        hi += 1.0
-        if hi > 1e6:  # pragma: no cover - the root grows like sqrt(n)
-            raise RuntimeError("failed to bracket the strong-coupling boundary")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _boundary_gap(mid, n) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    p = 108.0 ** (1.0 / 3.0) / 4.0
+    # the argument is exactly 1 at n = 1; the clamp only absorbs rounding there
+    arg = max(1.0, 1.5 * (n - 0.5) / p * math.sqrt(3.0 / p))
+    s = 2.0 * math.sqrt(p / 3.0) * math.cosh(math.acosh(arg) / 3.0)
+    return s**1.5
+
+
+def sc_contour(y: float) -> float:
+    """The rung ``n`` whose splitting closes at ``gamma_-/g = y``: the boundary
+    equation of :func:`sc_boundary` solved for ``n``."""
+    return (4.0 * y * y + 2.0 - (6.0 * math.sqrt(3.0) * y) ** (2.0 / 3.0)) / 4.0
 
 
 def perturbative_splitting(n: int, params: SystemParams) -> np.ndarray:

@@ -42,10 +42,8 @@ __all__ = [
     "SectorBlock",
     "jump_operators",
     "build_generator",
+    "top_manifold",
     "evolve",
-    "expectation",
-    "coherence_ops",
-    "population_ops",
     "regression_block",
     "population_block",
     "raising_coherence_generator",
@@ -135,7 +133,19 @@ def _propagate(gen: np.ndarray, x0: np.ndarray, grid: np.ndarray) -> np.ndarray:
             steps = (expm(gen * dt) for dt in np.diff(grid))
         for k, step in zip(range(1, grid.size), steps):
             out[k] = step @ out[k - 1]
+    if not np.all(np.isfinite(out)):  # expm overflows without raising
+        raise FloatingPointError("the propagated values are not finite")
     return out
+
+
+def top_manifold(rho0: np.ndarray, basis: TruncatedBasis) -> int:
+    """The highest excitation manifold that ``rho0`` touches: the largest
+    excitation of a basis state whose row or column of ``rho0`` holds a
+    nonzero entry (0 for the zero matrix)."""
+    if rho0.shape != (basis.dim, basis.dim):
+        raise ValueError(f"rho0 shape {rho0.shape} does not match basis dim {basis.dim}")
+    touched = np.flatnonzero(np.any(rho0 != 0, axis=0) | np.any(rho0 != 0, axis=1))
+    return basis.states[touched.max()].excitation if touched.size else 0
 
 
 def _live_trajectory(
@@ -144,12 +154,16 @@ def _live_trajectory(
     """The highest manifold ``M`` that ``rho0`` touches, and ``rho(t)`` on the
     states of manifolds ``0..M``, the leading ``k`` basis states (shape
     ``(n_t, k, k)``).  The generator maps the operators between those states
-    into themselves, so it is built and propagated on them only.
+    into themselves, so it is built and propagated on them only.  The photon
+    truncation is exact only while ``M <= photon_cutoff``; any other ``rho0``
+    is refused before the generator is built.
     """
-    if rho0.shape != (basis.dim, basis.dim):
-        raise ValueError(f"rho0 shape {rho0.shape} does not match basis dim {basis.dim}")
-    touched = np.flatnonzero(np.any(rho0 != 0, axis=0) | np.any(rho0 != 0, axis=1))
-    top = basis.states[touched.max()].excitation if touched.size else 0
+    top = top_manifold(rho0, basis)
+    if top > basis.photon_cutoff:
+        raise ValueError(
+            f"initial state reaches manifold {top}; photon truncation is exact "
+            f"only up to manifold {basis.photon_cutoff} at this cutoff"
+        )
     k = basis.manifold_index[top][-1] + 1
     index = np.arange(k)
     gen = _generator(params, basis, np.tile(index, k), np.repeat(index, k))
@@ -164,7 +178,8 @@ def evolve(
 ) -> np.ndarray:
     """Propagate a density matrix over ``t_grid`` (must start at 0).
 
-    Exact on the manifolds ``rho0`` can reach.  The trace is never
+    Exact on the manifolds ``rho0`` can reach; a ``rho0`` that reaches above
+    ``photon_cutoff`` raises :class:`ValueError`.  The trace is never
     renormalized: trace drift is a diagnostic, not something to hide.
     """
     _, live = _live_trajectory(rho0, params, basis, t_grid)
@@ -174,33 +189,14 @@ def evolve(
     return out
 
 
-def expectation(rho: np.ndarray, op: np.ndarray) -> complex:
-    """``tr(rho O)``."""
-    if rho.shape != op.shape:
-        raise ValueError(f"shape mismatch: {rho.shape} vs {op.shape}")
-    return complex(np.trace(rho @ op))
-
-
 # ---------------------------------------------------------------------------
 # sector bases and blocks
 # ---------------------------------------------------------------------------
 
-def coherence_ops(basis: TruncatedBasis, m: int) -> list[tuple[int, int]]:
-    """Index pairs of the lowering coherence operators ``|l><m|`` connecting
-    manifold ``m`` down to ``m - 1``, in lexicographic (row, column) order."""
-    if m < 1:
-        raise ValueError("coherence sector needs m >= 1")
-    rows = basis.manifold_index[m - 1]
-    cols = basis.manifold_index[m]
+def _pairs(rows: tuple[int, ...], cols: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Index pairs of the operators ``|r><c|``, in lexicographic (row, column)
+    order."""
     return [(r, c) for r in rows for c in cols]
-
-
-def population_ops(basis: TruncatedBasis, m: int) -> list[tuple[int, int]]:
-    """Index pairs of the within-manifold operators ``|l><m|`` of manifold ``m``."""
-    if m < 0:
-        raise ValueError("population sector needs m >= 0")
-    idx = basis.manifold_index[m]
-    return [(r, c) for r in idx for c in idx]
 
 
 @dataclass(frozen=True)
@@ -252,7 +248,7 @@ def regression_block(
         raise ValueError("regression block needs m >= 1")
     _require_complete(basis, m, "regression block")
     _require_complete(basis, m - 1, "regression block")
-    pairs = coherence_ops(basis, m)
+    pairs = _pairs(basis.manifold_index[m - 1], basis.manifold_index[m])
     return SectorBlock(m, tuple(pairs), _generator(params, basis, *np.array(pairs).T))
 
 
@@ -263,7 +259,7 @@ def population_block(
     if m < 0:
         raise ValueError("population block needs m >= 0")
     _require_complete(basis, m, "population block")
-    pairs = population_ops(basis, m)
+    pairs = _pairs(basis.manifold_index[m], basis.manifold_index[m])
     return SectorBlock(m, tuple(pairs), _generator(params, basis, *np.array(pairs).T))
 
 
@@ -282,11 +278,11 @@ def raising_coherence_generator(
     ``m`` holding ``|m><m-1|`` operators) and the matrix ``N`` with
     ``dv/dtau = N v``.
     """
-    pairs: list[tuple[int, int]] = []
-    for m in range(1, basis.max_manifold + 1):
-        rows = basis.manifold_index[m]
-        cols = basis.manifold_index[m - 1]
-        pairs.extend((r, c) for r in rows for c in cols)
+    pairs = [
+        pair
+        for m in range(1, basis.max_manifold + 1)
+        for pair in _pairs(basis.manifold_index[m], basis.manifold_index[m - 1])
+    ]
     return pairs, _generator(params, basis, *np.array(pairs).T)
 
 

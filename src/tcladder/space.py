@@ -24,11 +24,8 @@ __all__ = [
     "TruncatedBasis",
     "SystemParams",
     "BareOperators",
-    "PRODUCT_LABELS",
     "build_basis",
     "bare_operators",
-    "manifold_projector",
-    "matter_dicke_transform",
 ]
 
 
@@ -60,10 +57,6 @@ _MATTER_ORDER = {
     DickeLabel.SINGLET: 2,
     DickeLabel.T_PLUS: 3,
 }
-
-#: Product basis order used by :func:`matter_dicke_transform`.  The first
-#: letter is emitter 1, the second emitter 2 (G ground, X excited).
-PRODUCT_LABELS = ("GG", "GX", "XG", "XX")
 
 
 @dataclass(frozen=True)
@@ -145,9 +138,6 @@ class TruncatedBasis:
         """Highest excitation number present (``photon_cutoff + 2``)."""
         return self.photon_cutoff + 2
 
-    def state_index(self, state: BasisState) -> int:
-        return self._lookup[state]
-
     def index_of(self, photons: int, matter: DickeLabel) -> int:
         return self._lookup[BasisState(photons, matter)]
 
@@ -202,39 +192,14 @@ def build_basis(photon_cutoff: int) -> TruncatedBasis:
     )
 
 
-def matter_dicke_transform() -> np.ndarray:
-    """Unitary from the two-emitter product basis to the Dicke basis.
-
-    Columns are the Dicke states (T-1, T0, S, T1) expressed in the product
-    basis :data:`PRODUCT_LABELS`.
-    """
-    r = 1.0 / np.sqrt(2.0)
-    u = np.zeros((4, 4), dtype=complex)
-    # T-1 = GG
-    u[PRODUCT_LABELS.index("GG"), 0] = 1.0
-    # T0 = (XG + GX)/sqrt(2); S = (XG - GX)/sqrt(2)
-    u[PRODUCT_LABELS.index("XG"), 1] = r
-    u[PRODUCT_LABELS.index("GX"), 1] = r
-    u[PRODUCT_LABELS.index("XG"), 2] = r
-    u[PRODUCT_LABELS.index("GX"), 2] = -r
-    # T1 = XX
-    u[PRODUCT_LABELS.index("XX"), 3] = 1.0
-    return u
-
-
 def _matter_lowering_dicke() -> tuple[np.ndarray, np.ndarray]:
-    """4x4 matrices of the two single-emitter lowering operators, Dicke basis."""
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |G><X|
-    eye2 = np.eye(2, dtype=complex)
-    u = matter_dicke_transform()
-    s1 = u.conj().T @ np.kron(lower, eye2) @ u
-    s2 = u.conj().T @ np.kron(eye2, lower) @ u
-    # exact elements are 0 and +-1/sqrt(2); snap the transform's float dust
-    # so operator identities (sigma^2 = 0, commutation) hold exactly
+    """4x4 matrices of the two single-emitter lowering operators over the
+    Dicke labels (T-1, T0, S, T1).  With G ground, X excited and the first
+    letter emitter 1: T-1 = GG, T0 = (XG + GX)/sqrt(2), S = (XG - GX)/sqrt(2)
+    and T1 = XX.  The entries are exactly 0 and +-1/sqrt(2)."""
     r = 1.0 / np.sqrt(2.0)
-    for s in (s1, s2):
-        s.real = np.where(np.abs(s.real) < 1e-12, 0.0, np.sign(s.real) * r)
-        s.imag = 0.0
+    s1 = np.array([[0, r, r, 0], [0, 0, 0, r], [0, 0, 0, -r], [0, 0, 0, 0]], dtype=complex)
+    s2 = np.array([[0, r, -r, 0], [0, 0, 0, r], [0, 0, 0, r], [0, 0, 0, 0]], dtype=complex)
     return s1, s2
 
 
@@ -265,15 +230,3 @@ def bare_operators(basis: TruncatedBasis) -> BareOperators:
         matrix.setflags(write=False)
     return BareOperators(a=a, sigma1=sigma1, sigma2=sigma2, number=number)
 
-
-def manifold_projector(basis: TruncatedBasis, n: int) -> np.ndarray:
-    """Projector onto the excitation manifold ``n``."""
-    if n not in basis.manifold_index:
-        raise ValueError(
-            f"manifold {n} out of range 0..{basis.max_manifold} "
-            f"for photon_cutoff={basis.photon_cutoff}"
-        )
-    proj = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for i in basis.manifold_index[n]:
-        proj[i, i] = 1.0
-    return proj

@@ -25,7 +25,6 @@ are not.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,17 +54,13 @@ _CHUNK_ELEMENTS = 1 << 18
 
 @dataclass(frozen=True)
 class CorrelationGrid:
-    """Sampled first-order correlation ``G(t, tau) = <O+(t+tau) O(t)>``.
-
-    ``frame`` records whether the optical carrier ``e^{i w0 tau}`` is present
-    (``"lab"``) or factored out (``"rotating"``).
-    """
+    """Sampled first-order correlation ``G(t, tau) = <O+(t+tau) O(t)>``, optical
+    carrier included."""
 
     operator: str
     t_grid: np.ndarray
     tau_grid: np.ndarray
     values: np.ndarray
-    frame: str = "lab"
 
 
 @dataclass(frozen=True)
@@ -119,15 +114,6 @@ class PeakTable:
             tuple(r for r in self.rows if r.m == m), self.position_tol
         )
 
-    def without_singlet(self) -> "PeakTable":
-        """Drop rows touching a singlet branch on either side; these lines are
-        dark for initial states confined to the symmetric sector when the
-        emitters do not decay individually."""
-        return PeakTable(
-            tuple(r for r in self.rows if not r.involves_singlet),
-            self.position_tol,
-        )
-
 
 def _operator_matrix(tag: str, basis: TruncatedBasis) -> np.ndarray:
     ops = basis.operators
@@ -165,21 +151,6 @@ def _raising_family(
     return gen, v, coeff
 
 
-def _propagate_correlation(
-    operator: str,
-    top: int,
-    rho_traj: np.ndarray,
-    params: SystemParams,
-    basis: TruncatedBasis,
-    tau_grid: np.ndarray,
-    rotating: bool,
-) -> np.ndarray:
-    """Values of shape (n_t, n_tau): the read-out row ``coeff . expm(N tau)``,
-    propagated through ``N.T``, applied to the initial values of every t."""
-    gen, v, coeff = _raising_family(operator, top, rho_traj, params, basis, rotating)
-    return (_propagate(gen.T, coeff, tau_grid) @ v).T
-
-
 def two_time_correlation(
     operator: str,
     rho0: np.ndarray,
@@ -187,31 +158,22 @@ def two_time_correlation(
     basis: TruncatedBasis,
     t_grid: np.ndarray,
     tau_grid: np.ndarray,
-    frame: str = "lab",
 ) -> CorrelationGrid:
     """Correlation ``<O+(t+tau) O(t)>`` on the full product grid.
 
-    In the lab frame a line at position ``nu`` contributes
-    ``e^{(+i nu - width/2) tau}``; ``frame="rotating"`` removes the common
-    carrier ``e^{i w0 tau}`` (use this for spectra so coarse tau grids do not
-    alias the optical frequency).
+    A line at position ``nu`` contributes ``e^{(+i nu - width/2) tau}``.  The
+    read-out row ``coeff . expm(N tau)``, propagated through ``N.T``, is
+    applied to the initial values of every t.
     """
-    if frame not in ("lab", "rotating"):
-        raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
     t_grid = np.asarray(t_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
     top, traj = _live_trajectory(rho0, params, basis, t_grid)
-    if top > basis.photon_cutoff:  # the truncation is exact only below it
-        raise ValueError(f"initial state reaches manifold {top}; raise photon_cutoff")
-    values = _propagate_correlation(
-        operator, top, traj, params, basis, tau_grid, rotating=(frame == "rotating")
-    )
+    gen, v, coeff = _raising_family(operator, top, traj, params, basis, rotating=False)
     return CorrelationGrid(
         operator=operator,
         t_grid=t_grid,
         tau_grid=tau_grid,
-        values=values,
-        frame=frame,
+        values=(_propagate(gen.T, coeff, tau_grid) @ v).T,
     )
 
 
@@ -280,9 +242,9 @@ def physical_spectrum(
     rho0: np.ndarray,
     params: SystemParams,
     basis: TruncatedBasis,
+    omega_grid: np.ndarray,
     kappa: float | None = None,
     collection_time: float | None = None,
-    omega_grid: np.ndarray | None = None,
     kernel: str = "verbatim",
     n_time: int = 512,
     max_refinements: int = 3,
@@ -291,9 +253,9 @@ def physical_spectrum(
     """Filtered spectrum by direct double quadrature.
 
     The time grid is refined (halving the spacing) until the peak value moves
-    by less than ``target_delta`` relative; non-convergence is reported, not
-    hidden.  ``kernel="verbatim"`` keeps the growing ``e^{+kappa tau}``
-    factor, ``"decaying"`` flips its sign.
+    by less than ``target_delta`` relative; non-convergence is reported in
+    ``converged``, not hidden.  ``kernel="verbatim"`` keeps the growing
+    ``e^{+kappa tau}`` factor, ``"decaying"`` flips its sign.
     """
     if kernel not in ("verbatim", "decaying"):
         raise ValueError(f"kernel must be 'verbatim' or 'decaying', got {kernel!r}")
@@ -305,9 +267,6 @@ def physical_spectrum(
     collection_time = float(collection_time)
     if collection_time <= 0:
         raise ValueError("collection time must be positive")
-    if omega_grid is None:
-        w0, g = params.omega0, params.g
-        omega_grid = np.linspace(w0 - 5 * g, w0 + 5 * g, 801)
     omega_grid = np.asarray(omega_grid, dtype=float)
     sign = 1.0 if kernel == "verbatim" else -1.0
 
@@ -324,14 +283,6 @@ def physical_spectrum(
         values = refined
         if delta <= target_delta:
             break
-    converged = delta <= target_delta
-    if not converged:
-        warnings.warn(
-            f"spectrum quadrature not converged: delta {delta:.2e} "
-            f"> target {target_delta:.2e} at n_time={n_time}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return SpectrumSeries(
         operator=operator,
         kappa=kappa,
@@ -341,7 +292,7 @@ def physical_spectrum(
         kernel=kernel,
         n_time=n_time,
         convergence_delta=delta,
-        converged=converged,
+        converged=delta <= target_delta,
     )
 
 

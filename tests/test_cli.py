@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -185,16 +186,20 @@ class TestInitialStates:
         )
         assert code == EXIT_FAIL
 
-    def test_cutoff_too_small_for_state(self, tmp_path):
-        code = main(
-            [
-                "evolve",
-                "--set", "photon_cutoff=1",
-                "--set", 'initial_state="both-excited"',
-                "--out", str(tmp_path),
-            ]
-        )
-        assert code == EXIT_FAIL
+    def test_cutoff_too_small_for_state(self, tmp_path, capsys):
+        for command in ("evolve", "spectrum"):
+            code = main(
+                [
+                    command,
+                    "--set", "photon_cutoff=1",
+                    "--set", 'initial_state="both-excited"',
+                    "--out", str(tmp_path),
+                ]
+            )
+            assert code == EXIT_FAIL
+            err = capsys.readouterr().err
+            assert err.startswith("tcladder: initial state reaches manifold 2")
+            assert err.count("\n") == 1
 
 
 class TestEigenCommand:
@@ -312,13 +317,36 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert err.startswith("tcladder: numerical failure: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["eigen", "spectrum"])
-    def test_overflowing_input_is_validation_failure(self, tmp_path, capsys, command):
-        # c = 2 gamma_- + i delta squares past the largest double
-        code = main([command, "--set", "params.delta=1e300", "--out", str(tmp_path)])
+    @pytest.mark.parametrize(
+        "command, assignment",
+        [
+            # c = 2 gamma_- + i delta squares past the largest double
+            pytest.param("eigen", "params.delta=1e300", id="eigen"),
+            pytest.param("spectrum", "params.delta=1e300", id="spectrum"),
+            # the detector kernel and the quadrature overflow
+            pytest.param("spectrum", "kappa=1e300", id="spectrum-kappa"),
+            pytest.param("spectrum", "collection_time=1e300", id="spectrum-collection-time"),
+            pytest.param("spectrum", "grids.omega.stop=1e308", id="spectrum-omega-stop"),
+            # the matrix exponential overflows
+            pytest.param("evolve", "params.gamma_a=1e300", id="evolve-gamma-a"),
+        ],
+    )
+    def test_overflowing_input_is_validation_failure(
+        self, tmp_path, capsys, command, assignment
+    ):
+        small = ["grids.t.num=5", "grids.omega.num=16", "spectrum.n_time=8",
+                 "spectrum.max_refinements=1", assignment]
+        argv = [command]
+        for item in small:
+            argv += ["--set", item]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", str(tmp_path)])
         assert code == EXIT_FAIL
         err = capsys.readouterr().err
-        assert err.startswith("tcladder: ") and err.count("\n") == 1
+        assert err.startswith("tcladder: input out of floating-point range: ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())  # no nan or inf written
 
     def test_other_arithmetic_error_is_not_numerical_failure(self, tmp_path, monkeypatch):
         def broken(n, params):
@@ -403,6 +431,25 @@ class TestSpectrumCommand:
             top2, [10 - math.sqrt(2), 10 + math.sqrt(2)], atol=2 * (omega[1] - omega[0])
         )
 
+    def test_non_convergence_reported_once(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                [
+                    "spectrum",
+                    "--set", "spectrum.n_time=8",
+                    "--set", "spectrum.max_refinements=1",
+                    "--set", "spectrum.target_delta=1e-9",
+                    "--set", "grids.omega.num=16",
+                    "--out", str(tmp_path),
+                ]
+            )
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.startswith("warning: spectrum quadrature delta ") and err.count("\n") == 1
+        sidecar = json.loads((tmp_path / "spectrum_meta.json").read_text())
+        assert sidecar["resolved"]["converged"] is False
+
     def test_vacuum_spectrum_all_zero(self, tmp_path):
         code = main(
             [
@@ -482,6 +529,10 @@ def fuzz_out(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+# A warning is an error, so none slips past the one-line check.  Deprecation
+# warnings stay ignored: Python does not print them for library code either,
+# and Hypothesis raises one itself while it reports a failing example.
+@pytest.mark.filterwarnings("error", "ignore::DeprecationWarning")
 class TestFuzz:
     """Random JSON values at random config leaves never escape ``main``."""
 

@@ -375,3 +375,30 @@ class TestOracleEquivalence:
         wrong = replace(p, g=1.01 * p.g)
         expected = np.array([t.value for t in transition_eigenvalues(2, wrong)])
         assert assignment_distance(lines, expected) > 1e-8
+
+
+class TestSecondEmitterWidensStrongCoupling:
+    """The paper's headline claim, witnessed by brute force: between the
+    single-emitter boundary ``gamma_-/g = sqrt(n)`` and the two-emitter one,
+    rung ``n`` of the two-emitter ladder is still split."""
+
+    BASIS = build_basis(8)
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_split_where_one_emitter_is_not(self, n, fraction):
+        lo, hi = math.sqrt(n), sc_boundary(n)
+        assert lo < hi
+        y = lo + fraction * (hi - lo)
+        p = make_params(gamma_a=4.0 * y)  # gamma_sigma = delta = 0, g = 1
+        assert not jc_reference(n, p).strong_coupling
+        assert sc_criterion(n, p).strong_coupling
+        splitting = rabi_splitting(n, p)
+        assert splitting > 0.0
+
+        # the generator's population block of rung n carries the closed-form
+        # values, and its positions spread by twice the splitting
+        lines = population_block(p, self.BASIS, n).line_values()
+        expected = np.array([d.value for d in population_eigenvalues(n, p)])
+        assert assignment_distance(lines, expected) < 1e-8
+        assert abs(np.max(lines.real) - 2.0 * splitting) < 1e-8

@@ -7,19 +7,21 @@ from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
+from tcladder import liouvillian
 from tcladder.cli import initial_density_matrix
 from tcladder.eigenanalysis import population_eigenvalues, transition_eigenvalues
 from tcladder.hamiltonian import build_hamiltonian
 from tcladder.liouvillian import (
     build_generator,
     evolve,
-    expectation,
     generator_eig_to_line,
     population_block,
     raising_coherence_generator,
     regression_block,
+    top_manifold,
 )
 from tcladder.space import DickeLabel, SystemParams, bare_operators, build_basis
+from tcladder.spectrum import physical_spectrum, two_time_correlation
 from tcladder.verify import assignment_distance
 
 
@@ -63,20 +65,17 @@ class TestEvolve:
         ops = bare_operators(basis)
         t = np.linspace(0.0, 10.0, 41)
         traj = evolve(_pure(basis, 1, DickeLabel.T_MINUS), params, basis, t)
-        photons = np.array(
-            [expectation(r, ops.a.conj().T @ ops.a).real for r in traj]
-        )
+        photons = np.einsum("tij,ji->t", traj, ops.a.conj().T @ ops.a).real
         assert np.max(np.abs(photons - np.exp(-0.5 * t))) < 1e-8
 
     def test_independent_emitter_decay(self):
-        basis = build_basis(0)
+        # both-excited reaches manifold 2, so the cutoff must be at least 2
+        basis = build_basis(2)
         params = SystemParams(omega0=8.0, delta=0.0, g=0.0, gamma_a=0.0, gamma_sigma=0.3)
         ops = bare_operators(basis)
         t = np.linspace(0.0, 10.0, 41)
         traj = evolve(_pure(basis, 0, DickeLabel.T_PLUS), params, basis, t)
-        pop1 = np.array(
-            [expectation(r, ops.sigma1.conj().T @ ops.sigma1).real for r in traj]
-        )
+        pop1 = np.einsum("tij,ji->t", traj, ops.sigma1.conj().T @ ops.sigma1).real
         assert np.max(np.abs(pop1 - np.exp(-0.3 * t))) < 1e-8
 
     def test_relaxes_to_vacuum(self, basis2):
@@ -191,14 +190,55 @@ class TestReachableSubspace:
         assert np.max(np.abs(traj[-1, :8, :8])) > 0.1
 
 
-class TestExpectation:
-    def test_basic_values(self, basis2):
-        ops = bare_operators(basis2)
-        vac = _pure(basis2, 0, DickeLabel.T_MINUS)
-        one = _pure(basis2, 1, DickeLabel.T_MINUS)
-        assert expectation(vac, ops.number) == 0
-        assert expectation(vac, np.eye(basis2.dim)) == pytest.approx(1)
-        assert expectation(one, ops.a.conj().T @ ops.a) == pytest.approx(1)
+class TestTopManifold:
+    @pytest.mark.parametrize(
+        "state, top",
+        [("both-excited", 2), ("one-photon", 1), ("coherent-0-2", 2)],
+    )
+    def test_named_states(self, basis3, state, top):
+        assert top_manifold(_STATES[state](basis3), basis3) == top
+
+    def test_zero_matrix_and_coherence_only(self, basis3):
+        rho = np.zeros((basis3.dim, basis3.dim), complex)
+        assert top_manifold(rho, basis3) == 0
+        # a lone coherence between manifolds 0 and 3 reaches manifold 3
+        rho[0, basis3.manifold_index[3][0]] = 1e-300
+        assert top_manifold(rho, basis3) == 3
+
+    def test_shape_mismatch_rejected(self, basis2, basis3):
+        with pytest.raises(ValueError, match="does not match basis dim"):
+            top_manifold(np.zeros((basis3.dim, basis3.dim)), basis2)
+
+
+_ENTRY_POINTS = {
+    "evolve": evolve,
+    "two_time_correlation": lambda rho0, params, basis, t: two_time_correlation(
+        "a", rho0, params, basis, t, t
+    ),
+    "physical_spectrum": lambda rho0, params, basis, t: physical_spectrum(
+        "a", rho0, params, basis, np.linspace(8.0, 12.0, 5), n_time=8, max_refinements=0
+    ),
+}
+
+
+class TestBeyondCutoffRefused:
+    """Every propagating entry point refuses a state above the exact cutoff,
+    with the same message, before it builds any generator."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_same_refusal_before_any_generator(self, monkeypatch, params, entry):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(liouvillian, "_generator", refuse)
+        basis = build_basis(1)
+        rho0 = _pure(basis, 0, DickeLabel.T_PLUS)
+        with pytest.raises(
+            ValueError,
+            match=r"^initial state reaches manifold 2; photon truncation is exact "
+            r"only up to manifold 1 at this cutoff$",
+        ):
+            _ENTRY_POINTS[entry](rho0, params, basis, np.linspace(0.0, 1.0, 3))
 
 
 class TestBlocks:

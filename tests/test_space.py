@@ -9,8 +9,6 @@ from tcladder.space import (
     SystemParams,
     bare_operators,
     build_basis,
-    manifold_projector,
-    matter_dicke_transform,
 )
 
 R2 = np.sqrt(2.0)
@@ -101,49 +99,41 @@ class TestBareOperators:
         ops = bare_operators(basis3)
         for op in (ops.a, ops.sigma1, ops.sigma2):
             for n in range(1, basis3.max_manifold + 1):
-                pn = manifold_projector(basis3, n)
-                pdown = manifold_projector(basis3, n - 1)
-                assert np.allclose(pdown @ op @ pn, op @ pn, atol=1e-15)
+                # the columns of manifold n hold nothing outside manifold n - 1
+                cols = op[:, basis3.manifold_slice(n)].copy()
+                cols[basis3.manifold_slice(n - 1)] = 0.0
+                assert np.allclose(cols, 0.0, atol=1e-15)
 
-    def test_dicke_transform_unitary(self):
-        u = matter_dicke_transform()
-        assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-15)
+    def test_dicke_literals_match_product_basis(self):
+        # Dicke states in the product basis GG, GX, XG, XX (first letter
+        # emitter 1): T-1 = GG, T0 = (XG + GX)/sqrt(2), S = (XG - GX)/sqrt(2),
+        # T1 = XX
+        u = np.zeros((4, 4))
+        u[0, 0] = u[3, 3] = 1.0
+        u[2, 1] = u[1, 1] = u[2, 2] = 1 / R2
+        u[1, 2] = -1 / R2
+        lower, eye2 = np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)
+        basis = build_basis(0)  # one state per Dicke label, in label order
+        assert [s.matter for s in basis.states] == list(DickeLabel)
+        ops = bare_operators(basis)
+        for op, product in (
+            (ops.sigma1, np.kron(lower, eye2)),
+            (ops.sigma2, np.kron(eye2, lower)),
+        ):
+            assert np.allclose(op, u.T @ product @ u, atol=1e-15)
+            # the entries are exact, not float dust from the transform
+            assert set(op.ravel().tolist()) == {0j, complex(1 / R2), complex(-1 / R2)}
 
 
 class TestProjectors:
-    def test_projector_properties(self, basis3):
-        total = np.zeros((basis3.dim, basis3.dim), complex)
-        rank_sum = 0
-        projs = {}
-        for n in basis3.manifold_index:
-            p = manifold_projector(basis3, n)
-            projs[n] = p
-            assert np.allclose(p @ p, p, atol=1e-15)
-            assert np.allclose(p, p.conj().T, atol=1e-15)
-            total += p
-            rank_sum += int(round(np.trace(p).real))
-        assert np.allclose(total, np.eye(basis3.dim), atol=1e-15)
-        assert rank_sum == basis3.dim
-        for n in projs:
-            for m in projs:
-                if n != m:
-                    assert np.max(np.abs(projs[n] @ projs[m])) == 0.0
-
     def test_number_is_projector_sum(self, basis3):
+        # N = sum_n n P_n, with P_n the identity on manifold n's slice
         ops = bare_operators(basis3)
-        rebuilt = sum(
-            n * manifold_projector(basis3, n) for n in basis3.manifold_index
-        )
-        assert np.allclose(rebuilt, ops.number, atol=1e-15)
+        rebuilt = np.zeros((basis3.dim, basis3.dim), complex)
         for n in basis3.manifold_index:
-            p = manifold_projector(basis3, n)
-            assert np.max(np.abs(ops.number @ p - p @ ops.number)) == 0.0
-
-    def test_out_of_range_manifold(self, basis2):
-        with pytest.raises(ValueError):
-            manifold_projector(basis2, 5)
-        with pytest.raises(ValueError):
-            manifold_projector(basis2, -1)
+            block = basis3.manifold_slice(n)
+            rebuilt[block, block] = n * np.eye(basis3.manifold_dim(n))
+        assert np.array_equal(rebuilt, ops.number)
 
 
 class TestSystemParams:

@@ -89,16 +89,6 @@ class TestTwoTimeCorrelation:
         g_b = two_time_correlation("a", rho_b, params, basis2, t, t).values
         assert np.max(np.abs(g_mix - 0.3 * g_a - 0.7 * g_b)) < 1e-12
 
-    def test_rotating_frame_removes_carrier(self, basis2, params):
-        rho0 = _pure(basis2, 1, DickeLabel.T_MINUS)
-        t = np.linspace(0, 3, 4)
-        lab = two_time_correlation("a", rho0, params, basis2, t, t).values
-        rot = two_time_correlation(
-            "a", rho0, params, basis2, t, t, frame="rotating"
-        ).values
-        phase = np.exp(-1j * params.omega0 * t)[None, :]
-        assert np.max(np.abs(rot - lab * phase)) < 1e-10
-
     def test_nonuniform_tau_grid(self, basis2, params):
         rho0 = _pure(basis2, 0, DickeLabel.T_PLUS)
         t = np.linspace(0, 2, 3)
@@ -239,23 +229,21 @@ class TestPhysicalSpectrum:
             kappa=0.1, collection_time=30.0, omega_grid=omega,
             n_time=128, max_refinements=0,
         )
-        with pytest.warns(RuntimeWarning):
-            s_mix = physical_spectrum("a", mix, params, basis2, **kwargs).values
-        with pytest.warns(RuntimeWarning):
-            s_a = physical_spectrum("a", rho_a, params, basis2, **kwargs).values
-        with pytest.warns(RuntimeWarning):
-            s_b = physical_spectrum("a", rho_b, params, basis2, **kwargs).values
+        s_mix = physical_spectrum("a", mix, params, basis2, **kwargs).values
+        s_a = physical_spectrum("a", rho_a, params, basis2, **kwargs).values
+        s_b = physical_spectrum("a", rho_b, params, basis2, **kwargs).values
         scale = np.max(np.abs(s_mix))
         assert np.max(np.abs(s_mix - 0.4 * s_a - 0.6 * s_b)) < 1e-9 * scale
 
     def test_invalid_arguments(self, basis2, params):
         rho0 = _pure(basis2, 0, DickeLabel.T_MINUS)
+        omega = np.linspace(8, 12, 5)
         with pytest.raises(ValueError):
-            physical_spectrum("a", rho0, params, basis2, kappa=-1.0)
+            physical_spectrum("a", rho0, params, basis2, omega, kappa=-1.0)
         with pytest.raises(ValueError):
-            physical_spectrum("a", rho0, params, basis2, kappa=0.1, collection_time=0.0)
+            physical_spectrum("a", rho0, params, basis2, omega, kappa=0.1, collection_time=0.0)
         with pytest.raises(ValueError):
-            physical_spectrum("a", rho0, params, basis2, kernel="sideways")
+            physical_spectrum("a", rho0, params, basis2, omega, kernel="sideways")
 
     def test_defaults_recorded(self, basis2, params):
         series = physical_spectrum(
@@ -263,6 +251,7 @@ class TestPhysicalSpectrum:
             _pure(basis2, 0, DickeLabel.T_MINUS),
             params,
             basis2,
+            np.linspace(8, 12, 5),
             n_time=32,
             max_refinements=1,
         )
@@ -293,9 +282,6 @@ class TestPeakTable:
         # branch 4 on the upper manifold: 3 rows; branch 3 below: 3 rows; one overlap
         assert len(flagged) == 6
         assert all(r.i == 4 or r.j == 3 for r in flagged)
-        kept = peak_table(params, 2).without_singlet().rows
-        assert all(not r.involves_singlet for r in kept)
-        assert len([r for r in kept if r.m == 2]) == 6
 
     def test_widths_positive_with_loss(self, params):
         assert all(r.width > 0 for r in peak_table(params, 3).rows)
