@@ -22,6 +22,7 @@ import argparse
 import copy
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
@@ -303,8 +304,8 @@ def initial_density_matrix(config: dict, basis) -> np.ndarray:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+# a float column prints shortest-exact, a count column as an integer
+_FLOAT, _COUNT = "%.17g", "%d"
 
 
 def _metadata_lines(command: str, config: dict) -> list[str]:
@@ -318,14 +319,18 @@ def _metadata_lines(command: str, config: dict) -> list[str]:
 
 
 def _write_csv(
-    path: Path, command: str, config: dict, header: list[str], rows: list[list]
+    path: Path,
+    command: str,
+    config: dict,
+    columns: list[tuple[str, str]],
+    rows: Iterable[tuple],
 ) -> None:
+    """Write ``rows`` under the metadata block; ``columns`` pairs each header
+    name with its ``%`` format (``_FLOAT`` or ``_COUNT``)."""
     lines = _metadata_lines(command, config)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-        )
+    lines.append(",".join(name for name, _ in columns))
+    row_format = ",".join(fmt for _, fmt in columns)
+    lines.extend(row_format % row for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -333,20 +338,26 @@ def _write_csv(
 # subcommands
 # ---------------------------------------------------------------------------
 
-def eigen_rows(config: dict) -> list[list]:
+def eigen_rows(config: dict) -> list[tuple]:
     """Sweep rows (sweep_value, n, branch, re_eps, im_eps) in sweep order."""
     params = system_params(config)
     sweep = config["sweep"]
     values = np.linspace(sweep["start"], sweep["stop"], int(sweep["num"]))
-    rows = []
-    for value in values:
-        local = replace(params, **{sweep["parameter"]: float(value)})
-        for n in config["manifolds"]:
-            for level in ea.complex_eigenenergies(n, local):
-                rows.append(
-                    [float(value), n, level.branch, level.value.real, level.value.imag]
-                )
-    return rows
+    sweep_params = replace(params, **{sweep["parameter"]: values})
+    levels = [
+        level for n in config["manifolds"] for level in ea.complex_eigenenergies(n, sweep_params)
+    ]
+    # point-major: every level of the first sweep point, then of the next
+    eps = np.stack([np.broadcast_to(level.value, values.shape) for level in levels], axis=1)
+    return list(
+        zip(
+            np.repeat(values, len(levels)).tolist(),
+            [level.n for level in levels] * values.size,
+            [level.branch for level in levels] * values.size,
+            eps.real.ravel().tolist(),
+            eps.imag.ravel().tolist(),
+        )
+    )
 
 
 def cmd_eigen(config: dict, out_dir: Path) -> int:
@@ -355,7 +366,8 @@ def cmd_eigen(config: dict, out_dir: Path) -> int:
         out_dir / "eigen.csv",
         "eigen",
         config,
-        ["sweep_value", "n", "branch", "re_eps", "im_eps"],
+        [("sweep_value", _FLOAT), ("n", _COUNT), ("branch", _COUNT),
+         ("re_eps", _FLOAT), ("im_eps", _FLOAT)],
         rows,
     )
     return EXIT_OK
@@ -369,27 +381,27 @@ def cmd_criterion(config: dict, out_dir: Path) -> int:
         )
     g = params.g
     ys = np.linspace(1e-4, 2.5, 400)
-    contour_rows = []
-    for y in ys:
-        contour_rows.append([float(y), float(ea.sc_contour(y))])
+    # scalar on purpose: libm pow, not numpy's vectorised one, so every
+    # contour value keeps its last bit
+    contour_rows = [(float(y), float(ea.sc_contour(y))) for y in ys]
     _write_csv(
         out_dir / "criterion_contour.csv",
         "criterion",
         config,
-        ["gamma_minus_over_g", "n_contour"],
+        [("gamma_minus_over_g", _FLOAT), ("n_contour", _FLOAT)],
         contour_rows,
     )
 
+    sweep = replace(params, gamma_a=4.0 * ys * g, gamma_sigma=0.0)
     split_rows = []
     for n in config["manifolds"]:
-        for y in ys:
-            local = replace(params, gamma_a=4.0 * y * g, gamma_sigma=0.0)
-            split_rows.append([float(y), n, ea.rabi_splitting(n, local) / g])
+        splitting = ea.rabi_splitting(n, sweep) / g
+        split_rows.extend(zip(ys.tolist(), [n] * ys.size, splitting.tolist()))
     _write_csv(
         out_dir / "criterion_splitting.csv",
         "criterion",
         config,
-        ["gamma_minus_over_g", "n", "splitting_over_g"],
+        [("gamma_minus_over_g", _FLOAT), ("n", _COUNT), ("splitting_over_g", _FLOAT)],
         split_rows,
     )
     return EXIT_OK
@@ -416,7 +428,7 @@ def cmd_evolve(config: dict, out_dir: Path) -> int:
     for t, rho in zip(t_grid, traj):
         herm = (rho + rho.conj().T) / 2.0
         rows.append(
-            [
+            (
                 float(t),
                 float(np.trace(rho).real),
                 float(np.trace(rho @ ops.number).real),
@@ -425,21 +437,16 @@ def cmd_evolve(config: dict, out_dir: Path) -> int:
                 float(np.trace(rho @ pop2).real),
                 float(np.sum(rho[singlet_idx, singlet_idx]).real),
                 float(np.linalg.eigvalsh(herm).min()),
-            ]
+            )
         )
     _write_csv(
         out_dir / "evolve.csv",
         "evolve",
         config,
         [
-            "t",
-            "tr_rho",
-            "expect_n",
-            "expect_photons",
-            "expect_sigma1",
-            "expect_sigma2",
-            "singlet_population",
-            "min_eig_rho",
+            (name, _FLOAT)
+            for name in ("t", "tr_rho", "expect_n", "expect_photons", "expect_sigma1",
+                         "expect_sigma2", "singlet_population", "min_eig_rho")
         ],
         rows,
     )
@@ -477,8 +484,13 @@ def cmd_spectrum(config: dict, out_dir: Path) -> int:
             f"above target {spec_cfg['target_delta']:.2e}",
             file=sys.stderr,
         )
-    rows = [[float(w), float(s)] for w, s in zip(series.omega_grid, series.values)]
-    _write_csv(out_dir / "spectrum.csv", "spectrum", config, ["omega", "s"], rows)
+    _write_csv(
+        out_dir / "spectrum.csv",
+        "spectrum",
+        config,
+        [("omega", _FLOAT), ("s", _FLOAT)],
+        zip(series.omega_grid.tolist(), series.values.tolist()),
+    )
 
     table = sp.peak_table(params, max(lv.top_manifold(rho0, basis), 1))
     sidecar = {

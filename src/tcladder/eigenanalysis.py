@@ -17,12 +17,19 @@ Branch conventions, fixed once:
   and branch 3 in the first manifold;
 * manifold 1 always uses its dedicated two-plus-one level formulas; the cubic
   machinery applies from the second manifold up.
+
+The closed forms from :func:`complex_rabi` to :func:`population_eigenvalues`
+broadcast over :class:`~tcladder.space.SystemParams` whose fields are arrays,
+so a whole sweep is one call; a quantity that does not depend on the swept
+field keeps the shape of the fields it does depend on.  The strong-coupling
+criterion, its boundary and the reference expansions stay scalar.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,7 +87,7 @@ class ComplexEigenenergy:
 
     n: int
     branch: int
-    value: complex
+    value: complex | np.ndarray
 
     @property
     def position(self) -> float:
@@ -121,18 +128,29 @@ class JCReference:
     strong_coupling: bool
 
 
-def _c(params: SystemParams) -> complex:
+def _c(params: SystemParams) -> complex | np.ndarray:
     """The loss-detuning combination ``2 gamma_- + i delta`` that alone
     controls the splitting structure within a manifold."""
     return 2.0 * params.gamma_minus + 1j * params.delta
 
 
 def _require_coupling(params: SystemParams) -> None:
-    if params.g <= 0:
+    if np.less_equal(params.g, 0).any():
         raise ValueError("this quantity is scaled by g and needs g > 0")
 
 
-def complex_rabi(n: int, params: SystemParams) -> complex:
+def _lanes(params: SystemParams, mask: np.ndarray) -> SystemParams:
+    """The params of the sweep points where ``mask`` holds, as 1-d arrays in
+    C order."""
+    return SystemParams(
+        **{
+            f.name: np.broadcast_to(getattr(params, f.name), mask.shape)[mask]
+            for f in fields(params)
+        }
+    )
+
+
+def complex_rabi(n: int, params: SystemParams) -> complex | np.ndarray:
     """Complex Rabi frequency ``sqrt((4n-2) g^2 - 4 (gamma_- + i delta/2)^2)``.
 
     Principal square root: real and positive deep in the strong-coupling
@@ -141,10 +159,10 @@ def complex_rabi(n: int, params: SystemParams) -> complex:
     if n < 1:
         raise ValueError("need n >= 1")
     g = params.g
-    return complex(np.sqrt(complex((4 * n - 2) * g * g - _c(params) ** 2)))
+    return np.sqrt((4 * n - 2) * g * g - _c(params) ** 2)
 
 
-def discriminant(n: int, params: SystemParams) -> complex:
+def discriminant(n: int, params: SystemParams) -> complex | np.ndarray:
     """Cubic discriminant combination ``6 sqrt(3) (gamma_- + i delta/2)/g``
     divided by ``(R_n/g)^3``.
 
@@ -154,21 +172,18 @@ def discriminant(n: int, params: SystemParams) -> complex:
     _require_coupling(params)
     g = params.g
     rabi = complex_rabi(n, params)
-    if abs(rabi) < EXCEPTIONAL_POINT_TOL * g:
+    flagged = np.abs(rabi) < EXCEPTIONAL_POINT_TOL * g
+    if flagged.any():
         raise ExceptionalPointError(
-            f"R_{n} = {rabi:.3e} vanishes at these parameters; "
+            f"R_{n} = {np.asarray(rabi)[flagged][0]:.3e} vanishes at these parameters; "
             "the discriminant is undefined"
         )
-    return complex(6.0 * math.sqrt(3.0) * (_c(params) / 2.0) / g / (rabi / g) ** 3)
-
-
-def _sort_roots(roots: np.ndarray) -> np.ndarray:
-    order = np.lexsort((-roots.imag, -roots.real))
-    return roots[order]
+    return 6.0 * math.sqrt(3.0) * (_c(params) / 2.0) / g / (rabi / g) ** 3
 
 
 def splitting_roots(n: int, params: SystemParams) -> np.ndarray:
-    """The three triplet splitting values of manifold ``n >= 2``.
+    """The three triplet splitting values of manifold ``n >= 2``, shape
+    ``(..., 3)`` over the sweep points of ``params``.
 
     Roots of ``P^3 - ((4n-2) g^2 - c^2) P + 2 i g^2 c = 0`` with
     ``c = 2 gamma_- + i delta``, evaluated through the trigonometric form
@@ -177,37 +192,46 @@ def splitting_roots(n: int, params: SystemParams) -> np.ndarray:
 
     Equivalently, ``-i P_k`` are the roots of
     ``x^3 + ((4n-2) g^2 - c^2) x - 2 c g^2``; the internal cross-check below
-    enforces that identity.  Near the exceptional point the trigonometric
-    form degenerates and a direct cubic solve is used instead.
+    enforces that identity on every point.  Near the exceptional point the
+    trigonometric form degenerates and a direct cubic solve is used instead,
+    point by point; ``Q_n`` is evaluated only away from it.
 
-    Returned sorted by descending real part (ties: descending imaginary
-    part); they sum to zero.
+    Sorted by descending real part (ties: descending imaginary part); they
+    sum to zero.
     """
     if n < 2:
         raise ValueError("cubic splitting machinery applies for n >= 2")
     _require_coupling(params)
-    g = params.g
     c = _c(params)
+    rabi = complex_rabi(n, params)
+    shape = np.shape(rabi)
+    g, c, rabi = (np.broadcast_to(x, shape).ravel() for x in (params.g, c, rabi))
     k_lin = (4 * n - 2) * g * g - c * c
 
-    rabi = complex_rabi(n, params)
-    if abs(rabi) < EXCEPTIONAL_POINT_TOL * g:
-        roots = np.roots([1.0, 0.0, -k_lin, 2j * g * g * c])
-        return _sort_roots(roots)
+    roots = np.empty(rabi.shape + (3,), dtype=complex)
+    flagged = np.abs(rabi) < EXCEPTIONAL_POINT_TOL * g
+    for i in np.flatnonzero(flagged):
+        roots[i] = np.roots([1.0, 0.0, -k_lin[i], 2j * g[i] * g[i] * c[i]])
+    ok = ~flagged
+    if ok.any():
+        q = discriminant(n, params if ok.all() else _lanes(params, ok.reshape(shape)))
+        theta = np.arccos(-1j * np.ravel(q))[:, None]
+        ks = np.arange(1, 4)
+        trig = rabi[ok, None] * np.cos((theta + 2.0 * ks * np.pi) / 3.0) / np.cos(np.pi / 6.0)
 
-    q = discriminant(n, params)
-    ks = np.arange(1, 4)
-    roots = rabi * np.cos((np.arccos(-1j * q) + 2.0 * ks * np.pi) / 3.0) / np.cos(np.pi / 6.0)
-
-    # internal consistency: -iP must solve the companion cubic
-    x = -1j * roots
-    residual = np.abs(x**3 + k_lin * x - 2.0 * c * g * g)
-    scale = max(g**3, abs(k_lin) ** 1.5)
-    if np.any(residual > 1e-10 * scale):
-        raise SplittingCrossCheckError(
-            f"splitting root cross-check failed: residual {residual.max():.3e}"
-        )
-    return _sort_roots(roots)
+        # internal consistency: -iP must solve the companion cubic
+        g_ok, c_ok, k_ok = g[ok, None], c[ok, None], k_lin[ok, None]
+        x = -1j * trig
+        residual = np.abs(x**3 + k_ok * x - 2.0 * c_ok * g_ok * g_ok).max(axis=-1)
+        bound = 1e-10 * np.maximum(g_ok[:, 0] ** 3, np.abs(k_ok[:, 0]) ** 1.5)
+        if (residual > bound).any():
+            worst = np.argmax(residual / bound)
+            raise SplittingCrossCheckError(
+                f"splitting root cross-check failed: residual {residual[worst]:.3e}"
+            )
+        roots[ok] = trig
+    order = np.lexsort((-roots.imag, -roots.real), axis=-1)
+    return roots[np.arange(rabi.size)[:, None], order].reshape(shape + (3,))
 
 
 def gamma_n(n: int, params: SystemParams) -> float:
@@ -233,7 +257,7 @@ def eps_manifold1(params: SystemParams) -> list[ComplexEigenenergy]:
     """
     g = params.g
     zeta = params.gamma_minus + 0.5j * params.delta
-    rabi1 = complex(np.sqrt(complex(2.0 * g * g - zeta * zeta)))
+    rabi1 = np.sqrt(2.0 * g * g - zeta * zeta)
     center = params.omega0 - params.delta / 2.0 - 1j * params.gamma_plus
     return [
         ComplexEigenenergy(1, 1, center + rabi1),
@@ -254,10 +278,8 @@ def eps_manifold(n: int, params: SystemParams) -> list[ComplexEigenenergy]:
         raise ValueError("use eps_manifold1 for the first manifold")
     base = n * params.omega0 - params.delta - 0.5j * gamma_n(n, params)
     roots = splitting_roots(n, params)
-    levels = [
-        ComplexEigenenergy(n, k + 1, complex(base + roots[k])) for k in range(3)
-    ]
-    levels.append(ComplexEigenenergy(n, 4, complex(base)))
+    levels = [ComplexEigenenergy(n, k + 1, base + roots[..., k]) for k in range(3)]
+    levels.append(ComplexEigenenergy(n, 4, base))
     return levels
 
 
@@ -272,7 +294,7 @@ def complex_eigenenergies(n: int, params: SystemParams) -> list[ComplexEigenener
     return eps_manifold(n, params)
 
 
-def rabi_splitting(n: int, params: SystemParams) -> float:
+def rabi_splitting(n: int, params: SystemParams) -> float | np.ndarray:
     """Half the Rabi splitting of manifold ``n >= 1`` at zero detuning.
 
     The largest distance of a level position from the bare rung energy
@@ -280,13 +302,16 @@ def rabi_splitting(n: int, params: SystemParams) -> float:
     first manifold, the largest ``|Re P_k|`` of :func:`splitting_roots` from
     the second up.  It is exactly zero wherever the rung is weakly coupled.
     """
-    if params.delta != 0.0:
+    if np.not_equal(params.delta, 0.0).any():
         raise ValueError("the Rabi splitting is defined at delta = 0")
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return max(abs(level.value.real - params.omega0) for level in eps_manifold1(params))
-    return float(np.max(np.abs(splitting_roots(n, params).real)))
+        return functools.reduce(
+            np.maximum,
+            (np.abs(level.value.real - params.omega0) for level in eps_manifold1(params)),
+        )
+    return np.max(np.abs(splitting_roots(n, params).real), axis=-1)
 
 
 def transition_eigenvalues(m: int, params: SystemParams) -> list[BlockEigenvalue]:

@@ -82,6 +82,10 @@ class SystemParams:
     ``omega0`` is the cavity mode frequency, the emitters sit at
     ``omega0 - delta``.  ``gamma_a`` is the photon escape rate and
     ``gamma_sigma`` the spontaneous-emission rate of each emitter.
+
+    A field may also be an array: the params then stand for a whole sweep,
+    validated at once, and the closed forms of
+    :mod:`tcladder.eigenanalysis` broadcast over the fields.
     """
 
     omega0: float
@@ -93,13 +97,15 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in ("omega0", "delta", "g", "gamma_a", "gamma_sigma"):
             value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            finite = np.isfinite(value)
+            if not finite.all():
+                raise ValueError(f"{name} must be finite, got {_first(value, ~finite)!r}")
         # g = 0 is allowed for decoupled-limit dynamics; the eigenanalysis
         # functions that divide by g insist on g > 0 themselves.
-        if self.g < 0:
-            raise ValueError(f"coupling g must be nonnegative, got {self.g!r}")
-        if self.gamma_a < 0 or self.gamma_sigma < 0:
+        negative = np.less(self.g, 0)
+        if negative.any():
+            raise ValueError(f"coupling g must be nonnegative, got {_first(self.g, negative)!r}")
+        if np.less(self.gamma_a, 0).any() or np.less(self.gamma_sigma, 0).any():
             raise ValueError("decay rates must be nonnegative")
 
     @property
@@ -109,6 +115,12 @@ class SystemParams:
     @property
     def gamma_minus(self) -> float:
         return (self.gamma_a - self.gamma_sigma) / 4.0
+
+
+def _first(value, mask):
+    """The first entry of a scalar or array ``value`` where ``mask`` holds, as
+    a Python number."""
+    return np.asarray(value)[mask][0].item()
 
 
 @dataclass(frozen=True)

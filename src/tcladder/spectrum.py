@@ -184,9 +184,16 @@ def default_kappa(params: SystemParams) -> float:
 
 def default_collection_time(params: SystemParams) -> float:
     """Twenty lifetimes of the slowest nonzero decay channel (falls back to
-    the coupling time scale for a lossless system)."""
+    the coupling time scale for a lossless system).  A lossless, uncoupled
+    system has no time scale, so its collection time must be given."""
     rates = [r for r in (params.gamma_a, params.gamma_sigma) if r > 0]
-    return 20.0 / min(rates) if rates else 20.0 / params.g
+    if rates:
+        return 20.0 / min(rates)
+    if params.g > 0:
+        return 20.0 / params.g
+    raise ValueError(
+        "collection_time must be given: a lossless, uncoupled system has no time scale"
+    )
 
 
 def _spectrum_pass(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import fnmatch
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -76,6 +76,17 @@ def _random_parameter_grid(n_points: int, seed: int = 20240601) -> list[SystemPa
     ]
 
 
+def _closed_form_lines(lines_of, m: int, points: list[SystemParams]) -> np.ndarray:
+    """The block eigenvalues ``lines_of(m, params)`` of every point, shape
+    ``(len(points), lines)``, from one call on the points stacked into
+    array-valued params."""
+    stacked = SystemParams(
+        **{f.name: np.array([getattr(p, f.name) for p in points]) for f in fields(SystemParams)}
+    )
+    lines = lines_of(m, stacked)
+    return np.stack([np.broadcast_to(line.value, (len(points),)) for line in lines], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # the checks
 # ---------------------------------------------------------------------------
@@ -102,30 +113,29 @@ def check_dressed_energies() -> CheckResult:
 
 
 def _coherence_worst(
-    pairs: list[tuple[SystemParams, SystemParams]], ms: tuple[int, ...]
+    points: list[SystemParams], closed_form_points: list[SystemParams], ms: tuple[int, ...]
 ) -> tuple[float, str]:
-    """Worst distance between the coherence block spectra at the first
-    parameters of each pair and the closed forms at the second."""
+    """Worst distance between the coherence block spectra at ``points`` and
+    the closed forms at the matching ``closed_form_points``."""
     basis = build_basis(3)
     expected_dims = {1: 3, 2: 12, 3: 16}
+    analytic = {
+        m: _closed_form_lines(ea.transition_eigenvalues, m, closed_form_points) for m in ms
+    }
     worst = 0.0
-    for params, closed_form_params in pairs:
+    for k, params in enumerate(points):
         for m in ms:
             block = lv.regression_block(params, basis, m)
             if block.dim != expected_dims[m]:
                 return math.inf, f"block m={m} has dim {block.dim}"
-            analytic = np.array(
-                [t.value for t in ea.transition_eigenvalues(m, closed_form_params)]
-            )
-            worst = max(worst, assignment_distance(block.line_values(), analytic))
+            worst = max(worst, assignment_distance(block.line_values(), analytic[m][k]))
     return worst, ""
 
 
 def check_coherence_oracle() -> CheckResult:
     """Coherence block spectra vs analytic eigenenergy differences."""
-    worst, detail = _coherence_worst(
-        [(p, p) for p in _random_parameter_grid(51)], (1, 2, 3)
-    )
+    points = _random_parameter_grid(51)
+    worst, detail = _coherence_worst(points, points, (1, 2, 3))
     return CheckResult(
         "c02-coherence-oracle",
         "block eigenvalues m=1..3 vs closed forms, 51 random points",
@@ -140,8 +150,10 @@ def check_population_oracle() -> CheckResult:
     """Population block spectra vs analytic within-manifold differences."""
     basis = build_basis(3)
     expected_dims = {0: 1, 1: 9, 2: 16, 3: 16}
+    points = _random_parameter_grid(51)
+    analytic = {m: _closed_form_lines(ea.population_eigenvalues, m, points) for m in range(4)}
     worst = 0.0
-    for params in _random_parameter_grid(51):
+    for k, params in enumerate(points):
         for m in (0, 1, 2, 3):
             block = lv.population_block(params, basis, m)
             if block.dim != expected_dims[m]:
@@ -153,10 +165,7 @@ def check_population_oracle() -> CheckResult:
                     math.inf,
                     f"block m={m} has dim {block.dim}",
                 )
-            analytic = np.array(
-                [d.value for d in ea.population_eigenvalues(m, params)]
-            )
-            worst = max(worst, assignment_distance(block.line_values(), analytic))
+            worst = max(worst, assignment_distance(block.line_values(), analytic[m][k]))
             if m == 0:
                 worst = max(worst, float(np.abs(block.matrix).max()))
     return CheckResult(
@@ -450,9 +459,8 @@ def check_spectrum_peaks() -> CheckResult:
 
 def check_negative_control() -> CheckResult:
     """Closed forms at a 1% larger coupling must fail the coherence oracle."""
-    worst, _ = _coherence_worst(
-        [(p, replace(p, g=1.01 * p.g)) for p in _random_parameter_grid(6)], (1, 2)
-    )
+    points = _random_parameter_grid(6)
+    worst, _ = _coherence_worst(points, [replace(p, g=1.01 * p.g) for p in points], (1, 2))
     return CheckResult(
         "c12-negative-control",
         "closed forms at a 1% larger g fail the coherence oracle",

@@ -348,6 +348,19 @@ class TestNumericalFailure:
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())  # no nan or inf written
 
+    def test_lossless_uncoupled_spectrum_needs_collection_time(self, tmp_path, capsys):
+        # no decay rate and no coupling leave no default collection time
+        argv = ["spectrum"]
+        for item in ('units="absolute"', "params.g=0", "params.gamma_a=0",
+                     "params.gamma_sigma=0", "kappa=0.1"):
+            argv += ["--set", item]
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("tcladder: collection_time must be given")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_other_arithmetic_error_is_not_numerical_failure(self, tmp_path, monkeypatch):
         def broken(n, params):
             raise ZeroDivisionError("float division by zero")
@@ -539,7 +552,7 @@ class TestFuzz:
     @settings(max_examples=150)
     @given(command=st.sampled_from(["eigen", "criterion"]), assignments=_ASSIGNMENTS)
     def test_main_exits_cleanly(self, fuzz_out, command, assignments):
-        argv = [command, "--set", "sweep.num=4"]
+        argv = [command, "--set", "sweep.num=32"]
         for assignment in assignments:
             argv += ["--set", assignment]
         err = io.StringIO()

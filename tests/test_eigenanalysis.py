@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tcladder.eigenanalysis import (
+    EXCEPTIONAL_POINT_TOL,
     ExceptionalPointError,
     complex_eigenenergies,
     complex_rabi,
@@ -27,13 +28,47 @@ from tcladder.liouvillian import population_block, regression_block
 from tcladder.space import SystemParams, build_basis
 from tcladder.verify import assignment_distance
 
-from conftest import params_strategy
+from conftest import params_strategy, rate_strategy
 
 
 def make_params(gamma_a=0.0, gamma_sigma=0.0, delta=0.0, g=1.0, omega0=10.0):
     return SystemParams(
         omega0=omega0, delta=delta, g=g, gamma_a=gamma_a, gamma_sigma=gamma_sigma
     )
+
+
+def stack(points):
+    """The points as one array-valued params: a sweep with one lane each."""
+    return SystemParams(
+        **{f.name: np.array([getattr(p, f.name) for p in points]) for f in fields(SystemParams)}
+    )
+
+
+def gamma_minus_at_ep(n):
+    """``gamma_-/g`` where ``R_n`` vanishes at zero detuning."""
+    return math.sqrt(4 * n - 2) / 2
+
+
+@st.composite
+def lane_strategy(draw):
+    """One sweep point: random, on an exceptional point (flagged), within
+    1e-6 g of one, weakly coupled in rungs 1..4 at zero detuning, or detuned."""
+    kind = draw(st.sampled_from(["random", "flagged", "near", "weak", "detuned"]))
+    gamma_sigma = draw(rate_strategy(0.0, 2.0))
+    gamma_minus = gamma_minus_at_ep(draw(st.integers(2, 4)))
+    delta = 0.0
+    if kind == "random":
+        return draw(params_strategy())
+    if kind == "near":
+        gamma_minus += draw(st.floats(-1e-6, 1e-6))
+        delta = draw(st.sampled_from([0.0, 1e-6]))
+    elif kind == "weak":
+        gamma_minus = sc_boundary(4) * draw(st.floats(1.01, 3.0))
+    elif kind == "detuned":
+        gamma_minus = draw(st.floats(-0.5, 1.0))
+        delta = draw(st.floats(0.01, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    gamma_a = max(gamma_sigma + 4.0 * gamma_minus, 0.0)
+    return make_params(gamma_a=gamma_a, gamma_sigma=gamma_sigma, delta=delta)
 
 
 class TestFirstManifold:
@@ -402,3 +437,66 @@ class TestSecondEmitterWidensStrongCoupling:
         expected = np.array([d.value for d in population_eigenvalues(n, p)])
         assert assignment_distance(lines, expected) < 1e-8
         assert abs(np.max(lines.real) - 2.0 * splitting) < 1e-8
+
+
+class TestArrayLanes:
+    """One array-valued call per rung gives every sweep point what a call on
+    that point alone gives; the lanes do not mix."""
+
+    @given(lanes=st.lists(lane_strategy(), min_size=1, max_size=12))
+    def test_array_call_matches_point_calls(self, lanes):
+        sweep = stack(lanes)
+        resonant = [p for p in lanes if p.delta == 0.0]
+        for n in range(1, 5):
+            swept = complex_eigenenergies(n, sweep)
+            for k, p in enumerate(lanes):
+                for line, one in zip(swept, complex_eigenenergies(n, p), strict=True):
+                    assert line.branch == one.branch
+                    assert abs(line.value[k] - one.value) <= 1e-13 * max(1.0, abs(one.value))
+            if not resonant:
+                continue
+            splittings = rabi_splitting(n, stack(resonant))
+            for p, split in zip(resonant, splittings):
+                one = rabi_splitting(n, p)
+                assert abs(split - one) <= 1e-13 * max(1.0, one)
+                if p.gamma_minus > 1.01 * sc_boundary(n):
+                    assert split == 0.0 and one == 0.0
+
+    def test_shape_follows_the_swept_fields(self):
+        sweep = make_params(gamma_a=np.linspace(0.0, 12.0, 7).reshape(7, 1),
+                            omega0=np.array([9.0, 10.0]))
+        assert splitting_roots(3, sweep).shape == (7, 1, 3)
+        assert [lv.value.shape for lv in eps_manifold(3, sweep)] == [(7, 2)] * 4
+
+
+class TestExceptionalPointsAgainstGenerator:
+    """At ``R_n = 0`` and within 1e-6 g of it, with and without detuning, the
+    closed forms match the sliced generator blocks, point by point and as one
+    array call."""
+
+    BASIS = build_basis(4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_blocks_match_closed_forms(self, n):
+        points = [
+            make_params(
+                gamma_a=0.3 + 4.0 * (gamma_minus_at_ep(n) + offset),
+                gamma_sigma=0.3,
+                delta=delta,
+            )
+            for delta in (0.0, 1e-6)
+            for offset in (-1e-6, 0.0, 1e-6)
+        ]
+        assert abs(complex_rabi(n, points[1])) < EXCEPTIONAL_POINT_TOL  # flagged
+        sweep = stack(points)
+        for block_of, lines_of in (
+            (regression_block, transition_eigenvalues),
+            (population_block, population_eigenvalues),
+        ):
+            swept = lines_of(n, sweep)
+            for k, p in enumerate(points):
+                numeric = block_of(p, self.BASIS, n).line_values()
+                one = np.array([line.value for line in lines_of(n, p)])
+                batched = np.array([line.value[k] for line in swept])
+                assert assignment_distance(numeric, one) < 1e-8
+                assert assignment_distance(numeric, batched) < 1e-8
