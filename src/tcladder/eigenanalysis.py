@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,12 +141,14 @@ def _require_coupling(params: SystemParams) -> None:
 
 def _lanes(params: SystemParams, mask: np.ndarray) -> SystemParams:
     """The params of the sweep points where ``mask`` holds, as 1-d arrays in
-    C order."""
-    return SystemParams(
+    C order.  ``mask`` has the shape of the rates, detuning and coupling;
+    ``omega0``, which no splitting depends on, stays as it is."""
+    return replace(
+        params,
         **{
-            f.name: np.broadcast_to(getattr(params, f.name), mask.shape)[mask]
-            for f in fields(params)
-        }
+            name: np.broadcast_to(getattr(params, name), mask.shape)[mask]
+            for name in ("delta", "g", "gamma_a", "gamma_sigma")
+        },
     )
 
 

@@ -463,10 +463,12 @@ class TestArrayLanes:
                     assert split == 0.0 and one == 0.0
 
     def test_shape_follows_the_swept_fields(self):
-        sweep = make_params(gamma_a=np.linspace(0.0, 12.0, 7).reshape(7, 1),
-                            omega0=np.array([9.0, 10.0]))
-        assert splitting_roots(3, sweep).shape == (7, 1, 3)
-        assert [lv.value.shape for lv in eps_manifold(3, sweep)] == [(7, 2)] * 4
+        # the second gamma_a sits on the exceptional point of rung 2
+        gamma_a = np.array([0.0, 4.0 * gamma_minus_at_ep(2), 12.0]).reshape(3, 1)
+        sweep = make_params(gamma_a=gamma_a, omega0=np.array([9.0, 10.0]))
+        for n in (2, 3):
+            assert splitting_roots(n, sweep).shape == (3, 1, 3)
+            assert [lv.value.shape for lv in eps_manifold(n, sweep)] == [(3, 2)] * 4
 
 
 class TestExceptionalPointsAgainstGenerator:
