@@ -22,7 +22,7 @@ import argparse
 import copy
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -338,8 +338,9 @@ def _write_csv(
 # subcommands
 # ---------------------------------------------------------------------------
 
-def eigen_rows(config: dict) -> list[tuple]:
-    """Sweep rows (sweep_value, n, branch, re_eps, im_eps) in sweep order."""
+def eigen_rows(config: dict) -> Iterator[tuple]:
+    """Sweep rows (sweep_value, n, branch, re_eps, im_eps) in sweep order,
+    made one at a time as the writer consumes them."""
     params = system_params(config)
     sweep = config["sweep"]
     values = np.linspace(sweep["start"], sweep["stop"], int(sweep["num"]))
@@ -349,14 +350,12 @@ def eigen_rows(config: dict) -> list[tuple]:
     ]
     # point-major: every level of the first sweep point, then of the next
     eps = np.stack([np.broadcast_to(level.value, values.shape) for level in levels], axis=1)
-    return list(
-        zip(
-            np.repeat(values, len(levels)).tolist(),
-            [level.n for level in levels] * values.size,
-            [level.branch for level in levels] * values.size,
-            eps.real.ravel().tolist(),
-            eps.imag.ravel().tolist(),
-        )
+    return zip(
+        np.repeat(values, len(levels)).tolist(),
+        [level.n for level in levels] * values.size,
+        [level.branch for level in levels] * values.size,
+        eps.real.ravel().tolist(),
+        eps.imag.ravel().tolist(),
     )
 
 
