@@ -33,12 +33,9 @@ from .liouvillian import (  # noqa: E402
     regression_block,
 )
 from .eigenanalysis import (  # noqa: E402
-    ComplexEigenenergy,
     complex_eigenenergies,
     complex_rabi,
     discriminant,
-    eps_manifold,
-    eps_manifold1,
     jc_reference,
     perturbative_splitting,
     population_eigenvalues,
@@ -68,12 +65,9 @@ __all__ = [
     "evolve",
     "population_block",
     "regression_block",
-    "ComplexEigenenergy",
     "complex_eigenenergies",
     "complex_rabi",
     "discriminant",
-    "eps_manifold",
-    "eps_manifold1",
     "jc_reference",
     "perturbative_splitting",
     "population_eigenvalues",

@@ -255,6 +255,11 @@ def resolve_config(
         raise ConfigValidationError(f"operator must be one of {sp.OPERATOR_TAGS}")
     if config["spectrum"]["kernel"] not in ("verbatim", "decaying"):
         raise ConfigValidationError("spectrum.kernel must be 'verbatim' or 'decaying'")
+    target_delta = config["spectrum"]["target_delta"]
+    if target_delta < 0:
+        raise ConfigValidationError(
+            f"spectrum.target_delta must be >= 0, got {json.dumps(target_delta)}"
+        )
     return config
 
 
@@ -345,15 +350,15 @@ def eigen_rows(config: dict) -> Iterator[tuple]:
     sweep = config["sweep"]
     values = np.linspace(sweep["start"], sweep["stop"], int(sweep["num"]))
     sweep_params = replace(params, **{sweep["parameter"]: values})
-    levels = [
-        level for n in config["manifolds"] for level in ea.complex_eigenenergies(n, sweep_params)
-    ]
+    rungs = [ea.complex_eigenenergies(n, sweep_params) for n in config["manifolds"]]
+    ns = [n for n, rung in zip(config["manifolds"], rungs) for _ in range(rung.shape[-1])]
+    branches = [k + 1 for rung in rungs for k in range(rung.shape[-1])]
     # point-major: every level of the first sweep point, then of the next
-    eps = np.stack([np.broadcast_to(level.value, values.shape) for level in levels], axis=1)
+    eps = np.concatenate(rungs, axis=-1)
     return zip(
-        np.repeat(values, len(levels)).tolist(),
-        [level.n for level in levels] * values.size,
-        [level.branch for level in levels] * values.size,
+        np.repeat(values, len(ns)).tolist(),
+        ns * values.size,
+        branches * values.size,
         eps.real.ravel().tolist(),
         eps.imag.ravel().tolist(),
     )

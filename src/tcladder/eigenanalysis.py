@@ -11,25 +11,30 @@ validated against the numerics, not merely transcribed.
 Branch conventions, fixed once:
 
 * complex square roots and arccos use the principal branch;
+* the branches of a manifold lie along the last axis, and index ``k`` is
+  branch ``k + 1``;
 * triplet splitting roots are sorted by descending real part, ties broken by
-  descending imaginary part, and assigned branches 1..3 in that order;
-* the singlet level is branch 4 for manifolds with two or more excitations
-  and branch 3 in the first manifold;
+  descending imaginary part, and take indices 0..2 in that order;
+* the singlet is the last index: 3 for manifolds with two or more
+  excitations, 2 in the first manifold; the vacuum has the single index 0;
+* block eigenvalues ``eps_m^(i) - conj(eps_k^(j))`` sit at index
+  ``[..., i-1, j-1]``;
 * manifold 1 always uses its dedicated two-plus-one level formulas; the cubic
   machinery applies from the second manifold up.
 
 The closed forms from :func:`complex_rabi` to :func:`population_eigenvalues`
 broadcast over :class:`~tcladder.space.SystemParams` whose fields are arrays,
 so a whole sweep is one call; a quantity that does not depend on the swept
-field keeps the shape of the fields it does depend on.  The strong-coupling
-criterion, its boundary and the reference expansions stay scalar.
+field keeps the shape of the fields it does depend on, except that the
+eigenenergies and block eigenvalues of a manifold always carry the sweep's
+full shape.  The strong-coupling criterion, its boundary and the reference
+expansions stay scalar.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -38,15 +43,11 @@ from .space import SystemParams
 __all__ = [
     "ExceptionalPointError",
     "SplittingCrossCheckError",
-    "ComplexEigenenergy",
-    "BlockEigenvalue",
     "SCDiagnostic",
     "JCReference",
     "complex_rabi",
     "discriminant",
     "splitting_roots",
-    "eps_manifold1",
-    "eps_manifold",
     "complex_eigenenergies",
     "rabi_splitting",
     "gamma_n",
@@ -75,38 +76,6 @@ class ExceptionalPointError(ValueError):
 
 class SplittingCrossCheckError(ArithmeticError):
     """The splitting roots failed to solve their own cubic."""
-
-
-@dataclass(frozen=True)
-class ComplexEigenenergy:
-    """Complex eigenenergy of one manifold branch.
-
-    Real part is the resonance position; the imaginary part is minus half the
-    width, nonpositive for nonnegative decay rates.
-    """
-
-    n: int
-    branch: int
-    value: complex | np.ndarray
-
-    @property
-    def position(self) -> float:
-        return self.value.real
-
-    @property
-    def width(self) -> float:
-        return -2.0 * self.value.imag
-
-
-@dataclass(frozen=True)
-class BlockEigenvalue:
-    """Eigenvalue ``eps_m^(i) - conj(eps_k^(j))`` of a generator block: the
-    coherence block has ``k = m - 1``, the population block ``k = m``."""
-
-    m: int
-    i: int
-    j: int
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -248,52 +217,36 @@ def singlet_branch(n: int) -> int | None:
     return 3 if n == 1 else 4
 
 
-def eps_manifold1(params: SystemParams) -> list[ComplexEigenenergy]:
-    """The three complex eigenenergies of the first excitation manifold.
+def complex_eigenenergies(n: int, params: SystemParams) -> np.ndarray:
+    """Eigenenergies of manifold ``n``, shape ``(..., branches)`` over the
+    sweep points of ``params``; entry ``k`` is branch ``k + 1``.
 
-    The coupled photon/symmetric-matter pair sits at
+    The vacuum is one level at exactly zero.  In the first manifold the
+    coupled photon/symmetric-matter pair sits at
     ``omega0 - delta/2 - i gamma_+ +- R`` with
-    ``R = sqrt(2 g^2 - (gamma_- + i delta/2)^2)``; the singlet line (branch 3)
-    at ``omega0 - delta - i gamma_sigma/2`` is exact at any detuning because
-    the antisymmetric state never couples to the mode.
+    ``R = sqrt(2 g^2 - (gamma_- + i delta/2)^2)``; the singlet (entry 2) at
+    ``omega0 - delta - i gamma_sigma/2`` is exact at any detuning because the
+    antisymmetric state never couples to the mode.  From the second manifold
+    up the triplet is ``base + P_k`` over :func:`splitting_roots` and the
+    singlet (entry 3) is ``base = n omega0 - delta - i Gamma_n / 2``.
     """
-    g = params.g
-    zeta = params.gamma_minus + 0.5j * params.delta
-    rabi1 = np.sqrt(2.0 * g * g - zeta * zeta)
-    center = params.omega0 - params.delta / 2.0 - 1j * params.gamma_plus
-    return [
-        ComplexEigenenergy(1, 1, center + rabi1),
-        ComplexEigenenergy(1, 2, center - rabi1),
-        ComplexEigenenergy(
-            1, 3, params.omega0 - params.delta - 0.5j * params.gamma_sigma
-        ),
-    ]
-
-
-def eps_manifold(n: int, params: SystemParams) -> list[ComplexEigenenergy]:
-    """The four complex eigenenergies of manifold ``n >= 2``.
-
-    Triplet branches ``base + P_k`` and the singlet branch 4 at ``base``,
-    where ``base = n omega0 - delta - i Gamma_n / 2``.
-    """
-    if n < 2:
-        raise ValueError("use eps_manifold1 for the first manifold")
-    base = n * params.omega0 - params.delta - 0.5j * gamma_n(n, params)
-    roots = splitting_roots(n, params)
-    levels = [ComplexEigenenergy(n, k + 1, base + roots[..., k]) for k in range(3)]
-    levels.append(ComplexEigenenergy(n, 4, base))
-    return levels
-
-
-def complex_eigenenergies(n: int, params: SystemParams) -> list[ComplexEigenenergy]:
-    """Eigenenergies of manifold ``n`` (vacuum is exactly zero)."""
     if n < 0:
         raise ValueError("manifold index must be nonnegative")
     if n == 0:
-        return [ComplexEigenenergy(0, 1, 0j)]
+        shape = np.broadcast_shapes(*(np.shape(getattr(params, f.name)) for f in fields(params)))
+        return np.zeros(shape + (1,), dtype=complex)
     if n == 1:
-        return eps_manifold1(params)
-    return eps_manifold(n, params)
+        g = params.g
+        zeta = params.gamma_minus + 0.5j * params.delta
+        rabi1 = np.sqrt(2.0 * g * g - zeta * zeta)
+        center = params.omega0 - params.delta / 2.0 - 1j * params.gamma_plus
+        singlet = params.omega0 - params.delta - 0.5j * params.gamma_sigma
+        levels = (center + rabi1, center - rabi1, singlet)
+    else:
+        singlet = n * params.omega0 - params.delta - 0.5j * gamma_n(n, params)
+        roots = splitting_roots(n, params)
+        levels = (*(singlet + roots[..., k] for k in range(3)), singlet)
+    return np.stack(np.broadcast_arrays(*levels), axis=-1)
 
 
 def rabi_splitting(n: int, params: SystemParams) -> float | np.ndarray:
@@ -309,36 +262,28 @@ def rabi_splitting(n: int, params: SystemParams) -> float | np.ndarray:
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return functools.reduce(
-            np.maximum,
-            (np.abs(level.value.real - params.omega0) for level in eps_manifold1(params)),
-        )
+        levels = complex_eigenenergies(1, params)
+        return np.max(np.abs(levels.real - np.expand_dims(params.omega0, -1)), axis=-1)
     return np.max(np.abs(splitting_roots(n, params).real), axis=-1)
 
 
-def transition_eigenvalues(m: int, params: SystemParams) -> list[BlockEigenvalue]:
-    """All ``eps_m^(i) - conj(eps_{m-1}^(j))`` of the ``m``-th coherence block."""
+def transition_eigenvalues(m: int, params: SystemParams) -> np.ndarray:
+    """The ``m``-th coherence block eigenvalues ``eps_m^(i) - conj(eps_{m-1}^(j))``,
+    shape ``(..., branches of m, branches of m - 1)``: entry ``[..., i-1, j-1]``."""
     if m < 1:
         raise ValueError("need m >= 1")
     upper = complex_eigenenergies(m, params)
     lower = complex_eigenenergies(m - 1, params)
-    return [
-        BlockEigenvalue(m, up.branch, lo.branch, up.value - np.conj(lo.value))
-        for up in upper
-        for lo in lower
-    ]
+    return upper[..., :, None] - np.conj(lower[..., None, :])
 
 
-def population_eigenvalues(m: int, params: SystemParams) -> list[BlockEigenvalue]:
-    """All ``eps_m^(i) - conj(eps_m^(j))`` of the ``m``-th population block."""
+def population_eigenvalues(m: int, params: SystemParams) -> np.ndarray:
+    """The ``m``-th population block eigenvalues ``eps_m^(i) - conj(eps_m^(j))``,
+    shape ``(..., branches of m, branches of m)``: entry ``[..., i-1, j-1]``."""
     if m < 0:
         raise ValueError("need m >= 0")
     levels = complex_eigenenergies(m, params)
-    return [
-        BlockEigenvalue(m, a.branch, b.branch, a.value - np.conj(b.value))
-        for a in levels
-        for b in levels
-    ]
+    return levels[..., :, None] - np.conj(levels[..., None, :])
 
 
 def sc_criterion(n: int, params: SystemParams) -> SCDiagnostic:

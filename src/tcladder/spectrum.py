@@ -318,27 +318,24 @@ def peak_table(
     if position_tol is None:
         position_tol = 1e-9 * max(abs(params.omega0), params.g, 1.0)
 
-    raw = []
-    for m in range(1, m_max + 1):
-        for line in transition_eigenvalues(m, params):
-            raw.append(line)
-    positions = np.array([line.value.real for line in raw])
-    multiplicity = [
-        int(np.sum(np.abs(positions - p) <= position_tol)) for p in positions
+    raw = [
+        (m, i + 1, j + 1, value)
+        for m in range(1, m_max + 1)
+        for (i, j), value in np.ndenumerate(transition_eigenvalues(m, params))
     ]
+    positions = np.array([value.real for *_, value in raw])
+    multiplicity = np.sum(np.abs(positions[:, None] - positions) <= position_tol, axis=1)
     rows = [
         PeakRow(
-            m=line.m,
-            i=line.i,
-            j=line.j,
-            position=float(line.value.real),
-            width=float(-2.0 * line.value.imag),
-            multiplicity=mult,
-            involves_singlet=(
-                line.i == singlet_branch(line.m) or line.j == singlet_branch(line.m - 1)
-            ),
+            m=m,
+            i=i,
+            j=j,
+            position=float(value.real),
+            width=float(-2.0 * value.imag),
+            multiplicity=int(mult),
+            involves_singlet=i == singlet_branch(m) or j == singlet_branch(m - 1),
         )
-        for line, mult in zip(raw, multiplicity)
+        for (m, i, j, value), mult in zip(raw, multiplicity)
     ]
     rows.sort(key=lambda r: (r.position, r.m, r.i, r.j))
     return PeakTable(tuple(rows), position_tol)

@@ -76,15 +76,12 @@ def _random_parameter_grid(n_points: int, seed: int = 20240601) -> list[SystemPa
     ]
 
 
-def _closed_form_lines(lines_of, m: int, points: list[SystemParams]) -> np.ndarray:
-    """The block eigenvalues ``lines_of(m, params)`` of every point, shape
-    ``(len(points), lines)``, from one call on the points stacked into
-    array-valued params."""
-    stacked = SystemParams(
+def _stacked(points: list[SystemParams]) -> SystemParams:
+    """The points as one array-valued params, so a closed form covers them
+    all in one call."""
+    return SystemParams(
         **{f.name: np.array([getattr(p, f.name) for p in points]) for f in fields(SystemParams)}
     )
-    lines = lines_of(m, stacked)
-    return np.stack([np.broadcast_to(line.value, (len(points),)) for line in lines], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +116,8 @@ def _coherence_worst(
     the closed forms at the matching ``closed_form_points``."""
     basis = build_basis(3)
     expected_dims = {1: 3, 2: 12, 3: 16}
-    analytic = {
-        m: _closed_form_lines(ea.transition_eigenvalues, m, closed_form_points) for m in ms
-    }
+    stacked = _stacked(closed_form_points)
+    analytic = {m: ea.transition_eigenvalues(m, stacked) for m in ms}
     worst = 0.0
     for k, params in enumerate(points):
         for m in ms:
@@ -151,7 +147,8 @@ def check_population_oracle() -> CheckResult:
     basis = build_basis(3)
     expected_dims = {0: 1, 1: 9, 2: 16, 3: 16}
     points = _random_parameter_grid(51)
-    analytic = {m: _closed_form_lines(ea.population_eigenvalues, m, points) for m in range(4)}
+    stacked = _stacked(points)
+    analytic = {m: ea.population_eigenvalues(m, stacked) for m in range(4)}
     worst = 0.0
     for k, params in enumerate(points):
         for m in (0, 1, 2, 3):
@@ -184,8 +181,8 @@ def check_singlet_width() -> CheckResult:
     worst = 0.0
     for n in range(2, 7):
         gam = ea.gamma_n(n, params)
-        analytic = ea.eps_manifold(n, params)[3]
-        worst = max(worst, abs(analytic.value.imag + gam / 2.0))
+        singlet = ea.complex_eigenenergies(n, params)[..., 3]
+        worst = max(worst, abs(singlet.imag + gam / 2.0))
         # the pure singlet decay shows up in the population block as -Gamma_n
         mus = lv.population_block(params, basis, n).eigenvalues()
         worst = max(worst, float(np.min(np.abs(mus - (-gam)))))
@@ -263,21 +260,21 @@ def check_position_merging() -> CheckResult:
     """Loss sweep at gamma_sigma = 0: first-manifold positions merge at
     gamma_a = 4 sqrt(2) g; the second manifold keeps a degenerate-position
     pair with distinct widths."""
-    worst = 0.0
     merge_ga = 4.0 * math.sqrt(2.0)
-    for ga in np.linspace(merge_ga, 12.0, 25):
-        params = SystemParams(omega0=10.0, delta=0.0, g=1.0, gamma_a=ga, gamma_sigma=0.0)
-        pair = ea.eps_manifold1(params)[:2]
-        worst = max(worst, max(abs(l.value.real - params.omega0) for l in pair))
+    sweep = SystemParams(
+        omega0=10.0, delta=0.0, g=1.0, gamma_a=np.linspace(merge_ga, 12.0, 25), gamma_sigma=0.0
+    )
+    pair = ea.complex_eigenenergies(1, sweep)[..., :2]
+    worst = float(np.max(np.abs(pair.real - 10.0)))
     below = SystemParams(
         omega0=10.0, delta=0.0, g=1.0, gamma_a=merge_ga - 0.5, gamma_sigma=0.0
     )
-    still_split = max(abs(l.value.real - 10.0) for l in ea.eps_manifold1(below)[:2])
+    still_split = np.max(np.abs(ea.complex_eigenenergies(1, below)[:2].real - 10.0))
 
     params = SystemParams(omega0=10.0, delta=0.0, g=1.0, gamma_a=0.8, gamma_sigma=0.0)
-    levels = ea.eps_manifold(2, params)
-    central = [l for l in levels if abs(l.value.real - 2 * params.omega0) < 1e-8]
-    widths = sorted(l.width for l in central)
+    levels = ea.complex_eigenenergies(2, params)
+    central = levels[np.abs(levels.real - 2 * params.omega0) < 1e-8]
+    widths = np.sort(-2.0 * central.imag)
     degenerate_pair = len(central) >= 2 and widths[-1] - widths[0] > 1e-3
     return CheckResult(
         "c08-position-merging",

@@ -103,6 +103,7 @@ class TestConfigHandling:
             ("evolve", 'initial_state=[[0,"T-1",null,0]]'),
             ("evolve", 'initial_state=[[1.7,"T-1",1,0]]'),
             ("evolve", 'initial_state=[[true,"T-1",1,0]]'),
+            ("spectrum", "spectrum.target_delta=-1"),
         ],
     )
     def test_invalid_input_fails_with_one_line(
@@ -230,9 +231,9 @@ class TestEigenCommand:
 
         p = SystemParams(omega0=10.0, delta=0.0, g=1.0, gamma_a=0.4, gamma_sigma=0.1)
         expected = {
-            (n, lv.branch): lv.value
+            (n, k + 1): value
             for n in (1, 2)
-            for lv in complex_eigenenergies(n, p)
+            for k, value in enumerate(complex_eigenenergies(n, p))
         }
         for row in rows:
             key = (int(row[1]), int(row[2]))

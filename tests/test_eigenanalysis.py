@@ -12,8 +12,6 @@ from tcladder.eigenanalysis import (
     complex_eigenenergies,
     complex_rabi,
     discriminant,
-    eps_manifold,
-    eps_manifold1,
     gamma_n,
     jc_reference,
     perturbative_splitting,
@@ -73,28 +71,26 @@ def lane_strategy(draw):
 
 class TestFirstManifold:
     def test_direct_substitution(self):
-        levels = eps_manifold1(make_params(gamma_a=0.4, gamma_sigma=0.4))
-        values = {lv.branch: lv.value for lv in levels}
-        assert values[1] == pytest.approx(10 + math.sqrt(2) - 0.2j)
-        assert values[2] == pytest.approx(10 - math.sqrt(2) - 0.2j)
-        assert values[3] == pytest.approx(10 - 0.2j)
+        values = complex_eigenenergies(1, make_params(gamma_a=0.4, gamma_sigma=0.4))
+        assert values[0] == pytest.approx(10 + math.sqrt(2) - 0.2j)
+        assert values[1] == pytest.approx(10 - math.sqrt(2) - 0.2j)
+        assert values[2] == pytest.approx(10 - 0.2j)
 
     def test_lossless_limit_reduces_to_dressed(self):
-        levels = eps_manifold1(make_params())
-        values = sorted(lv.value.real for lv in levels)
+        levels = complex_eigenenergies(1, make_params())
+        values = sorted(levels.real)
         assert np.allclose(values, [10 - math.sqrt(2), 10, 10 + math.sqrt(2)])
-        assert all(lv.value.imag == 0 for lv in levels)
+        assert np.all(levels.imag == 0)
 
     def test_equal_widths_in_strong_coupling(self):
-        levels = eps_manifold1(make_params(gamma_a=0.6, gamma_sigma=0.1))
-        pair = [lv for lv in levels if lv.branch in (1, 2)]
-        assert pair[0].value.imag == pytest.approx(pair[1].value.imag)
-        assert pair[0].value.imag == pytest.approx(-(0.6 + 0.1) / 4)
+        pair = complex_eigenenergies(1, make_params(gamma_a=0.6, gamma_sigma=0.1))[:2]
+        assert pair[0].imag == pytest.approx(pair[1].imag)
+        assert pair[0].imag == pytest.approx(-(0.6 + 0.1) / 4)
 
-    def test_width_and_position_properties(self):
-        lv = eps_manifold1(make_params(gamma_a=0.4, gamma_sigma=0.4))[0]
-        assert lv.position == pytest.approx(10 + math.sqrt(2))
-        assert lv.width == pytest.approx(0.4)
+    def test_width_and_position(self):
+        level = complex_eigenenergies(1, make_params(gamma_a=0.4, gamma_sigma=0.4))[0]
+        assert level.real == pytest.approx(10 + math.sqrt(2))
+        assert -2.0 * level.imag == pytest.approx(0.4)
 
 
 class TestComplexRabi:
@@ -189,54 +185,52 @@ class TestSplittingRoots:
 
 class TestManifoldEnergies:
     def test_width_substitution(self):
-        levels = eps_manifold(2, make_params(gamma_a=0.3, gamma_sigma=0.1))
+        levels = complex_eigenenergies(2, make_params(gamma_a=0.3, gamma_sigma=0.1))
         assert gamma_n(2, make_params(gamma_a=0.3, gamma_sigma=0.1)) == pytest.approx(0.4)
-        singlet = [lv for lv in levels if lv.branch == 4][0]
-        assert singlet.value.imag == pytest.approx(-0.2)
+        assert levels[3].imag == pytest.approx(-0.2)
 
     def test_lossless_energies_match_dressed(self):
-        levels = eps_manifold(3, make_params())
-        values = sorted(lv.value.real for lv in levels)
+        levels = complex_eigenenergies(3, make_params())
+        values = sorted(levels.real)
         lead = math.sqrt(10)
         assert np.allclose(values, [30 - lead, 30, 30, 30 + lead], atol=1e-12)
-        assert all(abs(lv.value.imag) < 1e-15 for lv in levels)
+        assert np.all(np.abs(levels.imag) < 1e-15)
 
     def test_degenerate_position_pair_differs_in_width(self):
-        levels = eps_manifold(2, make_params(gamma_a=0.8))
-        central = [lv for lv in levels if abs(lv.value.real - 20) < 1e-10]
+        levels = complex_eigenenergies(2, make_params(gamma_a=0.8))
+        central = levels[np.abs(levels.real - 20) < 1e-10]
         assert len(central) == 2
-        widths = sorted(lv.width for lv in central)
+        widths = np.sort(-2.0 * central.imag)
         assert widths[1] - widths[0] > 1e-3
 
     def test_vacuum_is_zero(self):
         (vac,) = complex_eigenenergies(0, make_params(gamma_a=2.0, gamma_sigma=1.0))
-        assert vac.value == 0
+        assert vac == 0
 
     @given(p=params_strategy(deltas=(0.0,)), n=st.sampled_from([2, 3, 4]))
     def test_widths_nonpositive_and_sum_rule(self, p, n):
-        levels = eps_manifold(n, p)
-        assert all(lv.value.imag <= 1e-14 for lv in levels)
-        triplet = [lv.value.imag for lv in levels if lv.branch != 4]
+        levels = complex_eigenenergies(n, p)
+        assert np.all(levels.imag <= 1e-14)
+        triplet = levels[:3].imag
         assert sum(triplet) == pytest.approx(-1.5 * gamma_n(n, p), abs=1e-10)
 
 
 class TestTransitionAndPopulationValues:
     def test_first_block_is_first_manifold(self, params):
         lam = transition_eigenvalues(1, params)
-        eps = {lv.branch: lv.value for lv in eps_manifold1(params)}
-        assert len(lam) == 3
-        for line in lam:
-            assert line.value == eps[line.i]
-            assert line.j == 1
+        eps = complex_eigenenergies(1, params)
+        assert lam.shape == (3, 1)  # the only lower branch is the vacuum
+        for i in range(3):
+            assert lam[i, 0] == eps[i]
 
     def test_counts(self, params):
-        assert len(transition_eigenvalues(2, params)) == 12
-        assert len(transition_eigenvalues(3, params)) == 16
-        assert len(population_eigenvalues(2, params)) == 16
+        assert transition_eigenvalues(2, params).shape == (4, 3)
+        assert transition_eigenvalues(3, params).shape == (4, 4)
+        assert population_eigenvalues(2, params).shape == (4, 4)
 
     def test_third_block_has_at_most_nine_positions(self):
         p = make_params(gamma_a=0.1, gamma_sigma=0.05)
-        positions = sorted(t.value.real for t in transition_eigenvalues(3, p))
+        positions = sorted(transition_eigenvalues(3, p).real.ravel())
         distinct = []
         for pos in positions:
             if not distinct or pos - distinct[-1] > 1e-9:
@@ -244,10 +238,9 @@ class TestTransitionAndPopulationValues:
         assert len(distinct) <= 9
 
     def test_population_values(self, params):
-        assert population_eigenvalues(0, params)[0].value == 0
-        for d in population_eigenvalues(1, params):
-            if d.i == d.j:
-                assert d.value.real == pytest.approx(0.0, abs=1e-15)
+        assert population_eigenvalues(0, params)[0, 0] == 0
+        for d in np.diagonal(population_eigenvalues(1, params)):
+            assert d.real == pytest.approx(0.0, abs=1e-15)
 
 
 class TestStrongCouplingCriterion:
@@ -303,11 +296,9 @@ class TestBoundary:
     def test_continuity_across_boundary(self):
         for n in (2, 3):
             y = sc_boundary(n)
-            lo = eps_manifold(n, make_params(gamma_a=4 * (y - 1e-8)))
-            hi = eps_manifold(n, make_params(gamma_a=4 * (y + 1e-8)))
-            dist = assignment_distance(
-                np.array([lv.value for lv in lo]), np.array([lv.value for lv in hi])
-            )
+            lo = complex_eigenenergies(n, make_params(gamma_a=4 * (y - 1e-8)))
+            hi = complex_eigenenergies(n, make_params(gamma_a=4 * (y + 1e-8)))
+            dist = assignment_distance(lo, hi)
             assert dist < 1e-3
 
 
@@ -361,8 +352,8 @@ class TestWeakCouplingCollapse:
     def test_positions_collapse_far_above_boundary(self):
         p = make_params(gamma_a=40.0)  # gamma_-/g = 10
         for n in range(1, 5):
-            for lv in complex_eigenenergies(n, p):
-                assert abs(lv.value.real - n * 10.0) < 1e-6
+            for level in complex_eigenenergies(n, p):
+                assert abs(level.real - n * 10.0) < 1e-6
 
 
 class TestJCReference:
@@ -394,11 +385,11 @@ class TestOracleEquivalence:
             )
             for m in (1, 2, 3):
                 lines = regression_block(p, basis, m).line_values()
-                expected = np.array([t.value for t in transition_eigenvalues(m, p)])
+                expected = transition_eigenvalues(m, p)
                 worst = max(worst, assignment_distance(lines, expected))
             for m in (0, 1, 2):
                 lines = population_block(p, basis, m).line_values()
-                expected = np.array([d.value for d in population_eigenvalues(m, p)])
+                expected = population_eigenvalues(m, p)
                 worst = max(worst, assignment_distance(lines, expected))
         assert worst < 1e-8
 
@@ -408,7 +399,7 @@ class TestOracleEquivalence:
         p = make_params(gamma_a=0.8, gamma_sigma=0.3)
         lines = regression_block(p, basis, 2).line_values()
         wrong = replace(p, g=1.01 * p.g)
-        expected = np.array([t.value for t in transition_eigenvalues(2, wrong)])
+        expected = transition_eigenvalues(2, wrong)
         assert assignment_distance(lines, expected) > 1e-8
 
 
@@ -434,7 +425,7 @@ class TestSecondEmitterWidensStrongCoupling:
         # the generator's population block of rung n carries the closed-form
         # values, and its positions spread by twice the splitting
         lines = population_block(p, self.BASIS, n).line_values()
-        expected = np.array([d.value for d in population_eigenvalues(n, p)])
+        expected = population_eigenvalues(n, p)
         assert assignment_distance(lines, expected) < 1e-8
         assert abs(np.max(lines.real) - 2.0 * splitting) < 1e-8
 
@@ -450,9 +441,10 @@ class TestArrayLanes:
         for n in range(1, 5):
             swept = complex_eigenenergies(n, sweep)
             for k, p in enumerate(lanes):
-                for line, one in zip(swept, complex_eigenenergies(n, p), strict=True):
-                    assert line.branch == one.branch
-                    assert abs(line.value[k] - one.value) <= 1e-13 * max(1.0, abs(one.value))
+                alone = complex_eigenenergies(n, p)
+                assert swept[k].shape == alone.shape
+                for line, one in zip(swept[k], alone, strict=True):
+                    assert abs(line - one) <= 1e-13 * max(1.0, abs(one))
             if not resonant:
                 continue
             splittings = rabi_splitting(n, stack(resonant))
@@ -468,7 +460,13 @@ class TestArrayLanes:
         sweep = make_params(gamma_a=gamma_a, omega0=np.array([9.0, 10.0]))
         for n in (2, 3):
             assert splitting_roots(n, sweep).shape == (3, 1, 3)
-            assert [lv.value.shape for lv in eps_manifold(n, sweep)] == [(3, 2)] * 4
+        branches = {0: 1, 1: 3, 2: 4, 3: 4, 4: 4}
+        for n, count in branches.items():
+            assert complex_eigenenergies(n, sweep).shape == (3, 2, count)
+            if n >= 1:
+                lower = branches[n - 1]
+                assert transition_eigenvalues(n, sweep).shape == (3, 2, count, lower)
+            assert population_eigenvalues(n, sweep).shape == (3, 2, count, count)
 
 
 class TestExceptionalPointsAgainstGenerator:
@@ -498,7 +496,7 @@ class TestExceptionalPointsAgainstGenerator:
             swept = lines_of(n, sweep)
             for k, p in enumerate(points):
                 numeric = block_of(p, self.BASIS, n).line_values()
-                one = np.array([line.value for line in lines_of(n, p)])
-                batched = np.array([line.value[k] for line in swept])
+                one = lines_of(n, p)
+                batched = swept[k]
                 assert assignment_distance(numeric, one) < 1e-8
                 assert assignment_distance(numeric, batched) < 1e-8

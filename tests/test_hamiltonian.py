@@ -123,9 +123,9 @@ class TestTransitionFrequencies:
 
     @staticmethod
     def _lines(n, params):
-        values = [t.value for t in transition_eigenvalues(n, params)]
-        assert all(abs(v.imag) < 1e-12 for v in values)
-        return [v.real for v in values]
+        values = transition_eigenvalues(n, params).ravel()
+        assert np.all(np.abs(values.imag) < 1e-12)
+        return list(values.real)
 
     def test_first_manifold_lines(self):
         values = sorted(self._lines(1, _params()))

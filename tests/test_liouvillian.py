@@ -264,14 +264,14 @@ class TestBlocks:
     def test_first_block_matches_first_manifold_lines(self, basis2):
         params = SystemParams(omega0=10.0, delta=0.5, g=1.0, gamma_a=0.7, gamma_sigma=0.2)
         lines = regression_block(params, basis2, 1).line_values()
-        expected = np.array([t.value for t in transition_eigenvalues(1, params)])
+        expected = transition_eigenvalues(1, params)
         assert assignment_distance(lines, expected) < 1e-10
 
     def test_population_block_matches_deltas(self, basis2):
         params = SystemParams(omega0=10.0, delta=-0.5, g=1.0, gamma_a=1.3, gamma_sigma=0.4)
         for m in (1, 2):
             lines = population_block(params, basis2, m).line_values()
-            expected = np.array([d.value for d in population_eigenvalues(m, params)])
+            expected = population_eigenvalues(m, params)
             assert assignment_distance(lines, expected) < 1e-10
 
     def test_block_spectra_inside_full_generator(self, basis2, params):

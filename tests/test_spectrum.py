@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 import tcladder
 from tcladder import liouvillian, spectrum
+from tcladder.eigenanalysis import singlet_branch, transition_eigenvalues
 from tcladder.liouvillian import build_generator, evolve, raising_coherence_generator
 from tcladder.space import DickeLabel, SystemParams, bare_operators, build_basis
 from tcladder.spectrum import (
@@ -290,6 +291,24 @@ class TestPeakTable:
         table = peak_table(params, 2)
         central = [r for r in table.rows if abs(r.position - 10.0) < 1e-9]
         assert all(r.multiplicity == len(central) for r in central)
+
+    def test_rows_are_the_block_eigenvalues_by_index(self):
+        # detuned and unequal rates, so no two lines of a block coincide
+        p = SystemParams(omega0=10.0, delta=0.3, g=1.0, gamma_a=0.5, gamma_sigma=0.2)
+        rows = peak_table(p, 3).rows
+        keys = [(r.m, r.i, r.j) for r in rows]
+        assert len(keys) == 3 * 1 + 4 * 3 + 4 * 4
+        assert set(keys) == {
+            (m, i + 1, j + 1)
+            for m in (1, 2, 3)
+            for i, j in np.ndindex(transition_eigenvalues(m, p).shape)
+        }
+        for r in rows:
+            value = transition_eigenvalues(r.m, p)[r.i - 1, r.j - 1]
+            assert r.position == value.real
+            assert r.width == -2 * value.imag
+            singlet = r.i == singlet_branch(r.m) or r.j == singlet_branch(r.m - 1)
+            assert r.involves_singlet == singlet
 
 
 def _per_tau_pass(operator, rho0, params, basis, kappa, collection_time, omega_grid, sign, n_time):
