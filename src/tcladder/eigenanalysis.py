@@ -267,14 +267,18 @@ def rabi_splitting(n: int, params: SystemParams) -> float | np.ndarray:
     return np.max(np.abs(splitting_roots(n, params).real), axis=-1)
 
 
+def _outer_difference(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """``upper^(i) - conj(lower^(j))``, shape ``(..., len upper, len lower)``."""
+    return upper[..., :, None] - np.conj(lower[..., None, :])
+
+
 def transition_eigenvalues(m: int, params: SystemParams) -> np.ndarray:
     """The ``m``-th coherence block eigenvalues ``eps_m^(i) - conj(eps_{m-1}^(j))``,
     shape ``(..., branches of m, branches of m - 1)``: entry ``[..., i-1, j-1]``."""
     if m < 1:
         raise ValueError("need m >= 1")
-    upper = complex_eigenenergies(m, params)
     lower = complex_eigenenergies(m - 1, params)
-    return upper[..., :, None] - np.conj(lower[..., None, :])
+    return _outer_difference(complex_eigenenergies(m, params), lower)
 
 
 def population_eigenvalues(m: int, params: SystemParams) -> np.ndarray:
@@ -283,7 +287,7 @@ def population_eigenvalues(m: int, params: SystemParams) -> np.ndarray:
     if m < 0:
         raise ValueError("need m >= 0")
     levels = complex_eigenenergies(m, params)
-    return levels[..., :, None] - np.conj(levels[..., None, :])
+    return _outer_difference(levels, levels)
 
 
 def sc_criterion(n: int, params: SystemParams) -> SCDiagnostic:

@@ -19,17 +19,20 @@ the optical carrier factored out (the carrier re-enters through the kernel's
 ``e^{+kappa tau}`` factor is harmless: the inner integral's upper limit keeps
 the integrand bounded.  A ``decaying`` kernel variant with ``e^{-kappa tau}``
 is exposed as well; peak positions are insensitive to the choice, line shapes
-are not.
+are not.  Both integrals are trapezoids on one uniform grid: the inner one is
+read out of a cumulative trapezoid and the kernel factors over blocks of
+``ceil(sqrt(n_time + 1))`` delays, so a pass costs O(n_time) per ``w`` point.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigenanalysis import singlet_branch, transition_eigenvalues
+from .eigenanalysis import _outer_difference, complex_eigenenergies, singlet_branch
 from .liouvillian import _live_trajectory, _propagate, raising_coherence_generator
 from .space import SystemParams, TruncatedBasis
 
@@ -47,10 +50,6 @@ __all__ = [
 ]
 
 OPERATOR_TAGS = ("a", "sigma1", "sigma2")
-
-# entries of one block of the fused inner integrand (4 MB of complex128)
-_CHUNK_ELEMENTS = 1 << 18
-
 
 @dataclass(frozen=True)
 class CorrelationGrid:
@@ -209,12 +208,11 @@ def _spectrum_pass(
 ) -> np.ndarray:
     """One quadrature pass on a uniform shared t/tau grid of ``n_time`` steps.
 
-    The inner integrand at delay step ``j`` and time ``t_i`` is
-    ``F[j, i] = r_j . w_i``, with ``r_j = coeff . S^j`` the read-out row
-    (``S = expm(N h)``) and ``w_i`` the weighted family values at ``t_i``.
-    ``F`` is formed in row blocks of at most ``_CHUNK_ELEMENTS`` entries, cut
-    to the columns their trapezoids reach: the whole of it would be 268 MB at
-    ``n_time = 4096``.
+    With ``r_j = coeff . S^j`` the read-out row (``S = expm(N h)``) and
+    ``w_i`` the weighted family values at ``t_i``, the inner trapezoid over
+    ``t_0 .. t_{n_time - j}`` is ``r_j`` applied to the cumulative trapezoid
+    of ``w``.  The kernel ``e^{rate t_j}`` factors over ``t_j = (q b + r) h``,
+    ``b = ceil(sqrt(n_time + 1))``, into a ``w x b`` and a ``w x q`` array.
     """
     grid = np.linspace(0.0, collection_time, n_time + 1)
     h = collection_time / n_time
@@ -224,24 +222,21 @@ def _spectrum_pass(
     readout = _propagate(gen.T, coeff, grid)
     weighted = v * np.exp(-2.0 * kappa * (collection_time - grid))
 
-    # inner integral over t in [0, T - tau_j], trapezoid on the shared spacing;
-    # it is empty at j = n_time
-    inner = np.zeros(n_time + 1, dtype=complex)
-    block = max(1, _CHUNK_ELEMENTS // (n_time + 1))
-    for j0 in range(0, n_time, block):
-        j = np.arange(j0, min(j0 + block, n_time))
-        last = n_time - j
-        f = readout[j] @ weighted[:, : last[0] + 1]
-        f[np.arange(f.shape[1]) > last[:, None]] = 0.0
-        inner[j] = h * (f.sum(axis=1) - 0.5 * (f[:, 0] + f[np.arange(j.size), last]))
+    # inner integral over t in [0, T - tau_j]: trap[:, L] is the trapezoid
+    # over t_0 .. t_L, read out at L = n_time - j (empty at j = n_time)
+    trap = h * (np.cumsum(weighted, axis=1) - 0.5 * (weighted[:, :1] + weighted))
+    inner = np.einsum("jk,kj->j", readout, trap[:, ::-1])
 
-    # outer integral over tau, trapezoid
-    tau_weights = np.full(n_time + 1, h)
-    tau_weights[0] *= 0.5
-    tau_weights[-1] *= 0.5
+    # outer integral over tau, trapezoid, its terms zero-padded to q b
+    b = math.isqrt(n_time) + 1
+    q = -(-(n_time + 1) // b)
+    blocks = np.zeros(q * b, dtype=complex)
+    blocks[: n_time + 1] = h * inner
+    blocks[[0, n_time]] *= 0.5
     rate = kernel_sign * kappa - 1j * (omega_grid - params.omega0)
-    kernel = np.exp(rate[:, None] * grid[None, :])
-    return 2.0 * kappa * np.real(kernel @ (tau_weights * inner))
+    within = np.exp(rate[:, None] * (h * np.arange(b)))
+    across = np.exp(rate[:, None] * (h * b * np.arange(q)))
+    return 2.0 * kappa * np.real(np.sum(across * (within @ blocks.reshape(q, b).T), axis=1))
 
 
 def physical_spectrum(
@@ -318,10 +313,11 @@ def peak_table(
     if position_tol is None:
         position_tol = 1e-9 * max(abs(params.omega0), params.g, 1.0)
 
+    levels = [complex_eigenenergies(n, params) for n in range(m_max + 1)]
     raw = [
         (m, i + 1, j + 1, value)
         for m in range(1, m_max + 1)
-        for (i, j), value in np.ndenumerate(transition_eigenvalues(m, params))
+        for (i, j), value in np.ndenumerate(_outer_difference(levels[m], levels[m - 1]))
     ]
     positions = np.array([value.real for *_, value in raw])
     multiplicity = np.sum(np.abs(positions[:, None] - positions) <= position_tol, axis=1)

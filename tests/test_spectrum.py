@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import tcladder
-from tcladder import liouvillian, spectrum
+from tcladder import eigenanalysis, liouvillian, spectrum
 from tcladder.eigenanalysis import singlet_branch, transition_eigenvalues
 from tcladder.liouvillian import build_generator, evolve, raising_coherence_generator
 from tcladder.space import DickeLabel, SystemParams, bare_operators, build_basis
@@ -311,6 +312,19 @@ class TestPeakTable:
             assert r.involves_singlet == singlet
 
 
+    def test_each_rung_is_computed_once(self, monkeypatch, params):
+        calls = []
+        roots = eigenanalysis.splitting_roots
+
+        def counted(n, p):
+            calls.append(n)
+            return roots(n, p)
+
+        monkeypatch.setattr(eigenanalysis, "splitting_roots", counted)
+        peak_table(params, 3)
+        assert calls == [2, 3]
+
+
 def _per_tau_pass(operator, rho0, params, basis, kappa, collection_time, omega_grid, sign, n_time):
     """The quadrature pass as a loop over the delay, stepping the whole
     raising family and summing each inner trapezoid on its own."""
@@ -342,29 +356,41 @@ def _per_tau_pass(operator, rho0, params, basis, kappa, collection_time, omega_g
 
 class TestFusedPass:
     PARAMS = SystemParams(omega0=10.0, delta=0.2, g=1.0, gamma_a=0.1, gamma_sigma=0.05)
-    OMEGA = np.linspace(7.0, 13.0, 121)
+    OMEGA = {
+        "uniform": np.linspace(7.0, 13.0, 121),
+        "nonuniform": 10.0 + 3.0 * np.linspace(-1.0, 1.0, 97) ** 3,
+    }
 
-    @classmethod
-    def _args(cls, operator):
+    # n_time + 1 delays in blocks of ceil(sqrt(n_time + 1)): 2 = 2 x 1 with
+    # one pad, 601 = 25 x 25 with 24 pads, 625 = 25 x 25 exactly
+    @pytest.mark.parametrize("n_time", [1, 600, 624])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("operator", ["a", "sigma1"])
+    @pytest.mark.parametrize("omega", ["uniform", "nonuniform"])
+    def test_matches_per_tau_loop(self, operator, sign, n_time, omega):
         basis = build_basis(2)
         rho0 = 0.7 * _pure(basis, 0, DickeLabel.T_PLUS) + 0.3 * _pure(
             basis, 1, DickeLabel.T_MINUS
         )
-        return (operator, rho0, cls.PARAMS, basis, 0.05, 40.0, cls.OMEGA, -1.0, 600)
-
-    @pytest.fixture(scope="class")
-    def reference(self):
-        return {op: _per_tau_pass(*self._args(op)) for op in ("a", "sigma1")}
-
-    # n_time = 600: the default blocks hold 436 and 164 delay rows; 7000
-    # entries give blocks of 11 rows with 6 left over; 1 gives one row each
-    @pytest.mark.parametrize("chunk", [spectrum._CHUNK_ELEMENTS, 7000, 1])
-    @pytest.mark.parametrize("operator", ["a", "sigma1"])
-    def test_matches_per_tau_loop(self, monkeypatch, reference, operator, chunk):
-        monkeypatch.setattr(spectrum, "_CHUNK_ELEMENTS", chunk)
-        fused = spectrum._spectrum_pass(*self._args(operator))
-        expected = reference[operator]
+        args = (operator, rho0, self.PARAMS, basis, 0.05, 40.0, self.OMEGA[omega], sign, n_time)
+        fused = spectrum._spectrum_pass(*args)
+        expected = _per_tau_pass(*args)
         assert np.max(np.abs(fused - expected)) < 1e-12 * np.max(np.abs(expected))
+
+    def test_memory_stays_below_the_dense_kernel(self):
+        # the cascade-spectrum inputs; the dense 901 x 4097 kernel alone is 59 MB
+        basis = build_basis(2)
+        p = SystemParams(omega0=10.0, delta=0.0, g=1.0, gamma_a=0.02, gamma_sigma=0.02)
+        rho0 = _pure(basis, 0, DickeLabel.T_PLUS)
+        args = ("a", rho0, p, basis, 0.02, 150.0, np.linspace(5.5, 14.5, 901), -1.0, 4096)
+        spectrum._spectrum_pass(*args[:-1], 8)  # caches and imports outside the trace
+        tracemalloc.start()
+        try:
+            spectrum._spectrum_pass(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestNoFullGenerator:
