@@ -311,7 +311,6 @@ class TestPeakTable:
             singlet = r.i == singlet_branch(r.m) or r.j == singlet_branch(r.m - 1)
             assert r.involves_singlet == singlet
 
-
     def test_each_rung_is_computed_once(self, monkeypatch, params):
         calls = []
         roots = eigenanalysis.splitting_roots
@@ -361,8 +360,8 @@ class TestFusedPass:
         "nonuniform": 10.0 + 3.0 * np.linspace(-1.0, 1.0, 97) ** 3,
     }
 
-    # n_time + 1 delays in blocks of ceil(sqrt(n_time + 1)): 2 = 2 x 1 with
-    # one pad, 601 = 25 x 25 with 24 pads, 625 = 25 x 25 exactly
+    # n_time + 1 delays in blocks of ceil(sqrt(n_time + 1)): 2 fill one block
+    # of 2, 601 leave 24 pads in the last of 25 blocks of 25, 625 fill them
     @pytest.mark.parametrize("n_time", [1, 600, 624])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("operator", ["a", "sigma1"])
