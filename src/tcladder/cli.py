@@ -23,7 +23,7 @@ import copy
 import json
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from . import eigenanalysis as ea
 from . import liouvillian as lv
 from . import spectrum as sp
 from .space import DickeLabel, SystemParams, build_basis
-from .verify import run_checks, select_checks
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -509,18 +508,7 @@ def cmd_spectrum(config: dict, out_dir: Path) -> int:
             "convergence_delta": series.convergence_delta,
             "converged": series.converged,
         },
-        "peak_table": [
-            {
-                "m": row.m,
-                "i": row.i,
-                "j": row.j,
-                "position": row.position,
-                "width": row.width,
-                "multiplicity": row.multiplicity,
-                "involves_singlet": row.involves_singlet,
-            }
-            for row in table.rows
-        ],
+        "peak_table": [asdict(row) for row in table.rows],
     }
     (out_dir / "spectrum_meta.json").write_text(
         json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
@@ -529,6 +517,8 @@ def cmd_spectrum(config: dict, out_dir: Path) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_checks, select_checks
+
     try:
         check_ids = select_checks(args.checks)
     except ValueError as exc:

@@ -23,15 +23,14 @@ decay lowers it, so :func:`evolve` builds the generator only on the manifolds
 the initial state touches and steps it with exact matrix exponentials.
 
 Eigenvalue convention: blocks generate real-time dynamics ``dx/dt = M x``.
-Multiplying an eigenvalue of ``M`` by ``1j`` (:func:`generator_eig_to_line`)
-yields the complex line value whose real part is the emission position and
-whose imaginary part is minus half the linewidth.
+Multiplying an eigenvalue of ``M`` by ``1j`` (:func:`line_values`) yields the
+complex line value whose real part is the emission position and whose
+imaginary part is minus half the linewidth.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -39,28 +38,14 @@ from scipy.linalg import expm
 from .space import SystemParams, TruncatedBasis
 
 __all__ = [
-    "SectorBlock",
-    "jump_operators",
     "build_generator",
     "top_manifold",
     "evolve",
     "regression_block",
     "population_block",
     "raising_coherence_generator",
-    "generator_eig_to_line",
+    "line_values",
 ]
-
-
-def jump_operators(
-    params: SystemParams, basis: TruncatedBasis
-) -> list[tuple[float, np.ndarray]]:
-    """The three decay channels as ``(rate, operator)`` pairs."""
-    ops = basis.operators
-    return [
-        (params.gamma_a, ops.a),
-        (params.gamma_sigma, ops.sigma1),
-        (params.gamma_sigma, ops.sigma2),
-    ]
 
 
 def _generator(
@@ -87,7 +72,12 @@ def _generator(
         return a.take(cols, 0).take(cols, 1) * b.take(rows, 0).take(rows, 1)
 
     gen = 1j * (kron(eye, h.T) - kron(h, eye))
-    for rate, op in jump_operators(params, basis):
+    ops = basis.operators
+    for rate, op in (
+        (params.gamma_a, ops.a),
+        (params.gamma_sigma, ops.sigma1),
+        (params.gamma_sigma, ops.sigma2),
+    ):
         if rate == 0.0:
             continue
         od_o = op.conj().T @ op
@@ -199,35 +189,6 @@ def _pairs(rows: tuple[int, ...], cols: tuple[int, ...]) -> list[tuple[int, int]
     return [(r, c) for r in rows for c in cols]
 
 
-@dataclass(frozen=True)
-class SectorBlock:
-    """Diagonal block of the generator on one sector of basis operators.
-
-    ``matrix`` generates ``dx/dt = M x`` for the averages of the operators
-    ``|row><col|`` listed in ``op_index`` (pairs of basis indices, row then
-    column): the lowering coherences ``m -> m - 1`` of
-    :func:`regression_block` or the within-manifold operators of
-    :func:`population_block`.  Only the decay-out part is kept; the cascade
-    feed from manifold ``m + 1`` lives in the off-diagonal blocks of the full
-    generator and does not affect eigenvalues.  Eigenvalues map to line
-    values via :func:`generator_eig_to_line`.
-    """
-
-    m: int
-    op_index: tuple[tuple[int, int], ...]
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.matrix)
-
-    def line_values(self) -> np.ndarray:
-        return generator_eig_to_line(self.eigenvalues())
-
-
 def _require_complete(basis: TruncatedBasis, n: int, what: str) -> None:
     if not basis.is_complete_manifold(n):
         raise ValueError(
@@ -238,29 +199,38 @@ def _require_complete(basis: TruncatedBasis, n: int, what: str) -> None:
 
 def regression_block(
     params: SystemParams, basis: TruncatedBasis, m: int
-) -> SectorBlock:
+) -> np.ndarray:
     """Coherence block for transitions from manifold ``m`` to ``m - 1``.
 
-    Block dimension is ``dim(m-1) * dim(m)``: 3, 12 and then 16 for complete
-    manifolds.  Both manifolds must be untruncated.
+    The matrix generates ``dx/dt = M x`` for the averages of ``|r><c|``,
+    ``r`` in manifold ``m - 1`` and ``c`` in ``m``, ordered by :func:`_pairs`.
+    Only the decay-out part is kept: the cascade feed from manifold ``m + 1``
+    lives in off-diagonal blocks of the full generator and does not move
+    eigenvalues.  Block dimension is ``dim(m-1) * dim(m)``: 3, 12 and then 16
+    for complete manifolds.  Both manifolds must be untruncated.
     """
     if m < 1:
         raise ValueError("regression block needs m >= 1")
     _require_complete(basis, m, "regression block")
     _require_complete(basis, m - 1, "regression block")
     pairs = _pairs(basis.manifold_index[m - 1], basis.manifold_index[m])
-    return SectorBlock(m, tuple(pairs), _generator(params, basis, *np.array(pairs).T))
+    return _generator(params, basis, *np.array(pairs).T)
 
 
 def population_block(
     params: SystemParams, basis: TruncatedBasis, m: int
-) -> SectorBlock:
-    """Within-manifold block of manifold ``m`` (dimension ``dim(m)^2``)."""
+) -> np.ndarray:
+    """Within-manifold block of manifold ``m`` (dimension ``dim(m)^2``).
+
+    Operators ``|r><c|`` with ``r`` and ``c`` in manifold ``m``, ordered by
+    :func:`_pairs`; as in :func:`regression_block`, only the decay-out part is
+    kept, since the feed from manifold ``m + 1`` does not move eigenvalues.
+    """
     if m < 0:
         raise ValueError("population block needs m >= 0")
     _require_complete(basis, m, "population block")
     pairs = _pairs(basis.manifold_index[m], basis.manifold_index[m])
-    return SectorBlock(m, tuple(pairs), _generator(params, basis, *np.array(pairs).T))
+    return _generator(params, basis, *np.array(pairs).T)
 
 
 def raising_coherence_generator(
@@ -286,15 +256,11 @@ def raising_coherence_generator(
     return pairs, _generator(params, basis, *np.array(pairs).T)
 
 
-# ---------------------------------------------------------------------------
-# eigenvalue convention
-# ---------------------------------------------------------------------------
+def line_values(block: np.ndarray) -> np.ndarray:
+    """Complex line values of a block: ``1j`` times its eigenvalues.
 
-def generator_eig_to_line(mu: np.ndarray | complex) -> np.ndarray | complex:
-    """Map a real-time generator eigenvalue to a complex line value.
-
-    The line value's real part is the emission position; its imaginary part
-    is minus half the width.  Used everywhere a block spectrum is compared
-    with closed-form eigenenergies.
+    The real part is the emission position and the imaginary part minus half
+    the width.  Used everywhere a block spectrum is compared with closed-form
+    eigenenergies.
     """
-    return 1j * mu
+    return 1j * np.linalg.eigvals(block)

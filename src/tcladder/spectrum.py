@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .liouvillian import _live_trajectory, _propagate, raising_coherence_generat
 from .space import SystemParams, TruncatedBasis
 
 __all__ = [
-    "CorrelationGrid",
     "SpectrumSeries",
     "PeakRow",
     "PeakTable",
@@ -51,16 +50,6 @@ __all__ = [
 
 OPERATOR_TAGS = ("a", "sigma1", "sigma2")
 
-@dataclass(frozen=True)
-class CorrelationGrid:
-    """Sampled first-order correlation ``G(t, tau) = <O+(t+tau) O(t)>``, optical
-    carrier included."""
-
-    operator: str
-    t_grid: np.ndarray
-    tau_grid: np.ndarray
-    values: np.ndarray
-
 
 @dataclass(frozen=True)
 class SpectrumSeries:
@@ -71,10 +60,10 @@ class SpectrumSeries:
     collection_time: float
     omega_grid: np.ndarray
     values: np.ndarray
-    kernel: str = "verbatim"
-    n_time: int = 0
-    convergence_delta: float = np.nan
-    converged: bool = True
+    kernel: str
+    n_time: int
+    convergence_delta: float
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -95,7 +84,7 @@ class PeakTable:
     """Analytic line list; weights are deliberately left to the numerics."""
 
     rows: tuple[PeakRow, ...]
-    position_tol: float = field(default=0.0, repr=False)
+    position_tol: float
 
     def positions(self) -> np.ndarray:
         return np.array([row.position for row in self.rows])
@@ -157,23 +146,17 @@ def two_time_correlation(
     basis: TruncatedBasis,
     t_grid: np.ndarray,
     tau_grid: np.ndarray,
-) -> CorrelationGrid:
-    """Correlation ``<O+(t+tau) O(t)>`` on the full product grid.
+) -> np.ndarray:
+    """Correlation ``G(t, tau) = <O+(t+tau) O(t)>``, optical carrier
+    included, as a ``(len(t_grid), len(tau_grid))`` array.
 
     A line at position ``nu`` contributes ``e^{(+i nu - width/2) tau}``.  The
     read-out row ``coeff . expm(N tau)``, propagated through ``N.T``, is
     applied to the initial values of every t.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    tau_grid = np.asarray(tau_grid, dtype=float)
     top, traj = _live_trajectory(rho0, params, basis, t_grid)
     gen, v, coeff = _raising_family(operator, top, traj, params, basis, rotating=False)
-    return CorrelationGrid(
-        operator=operator,
-        t_grid=t_grid,
-        tau_grid=tau_grid,
-        values=(_propagate(gen.T, coeff, tau_grid) @ v).T,
-    )
+    return (_propagate(gen.T, coeff, tau_grid) @ v).T
 
 
 def default_kappa(params: SystemParams) -> float:

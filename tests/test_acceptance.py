@@ -13,6 +13,7 @@ from tcladder.verify import ALL_CHECK_IDS, run_checks
 @pytest.mark.parametrize("check_id", ALL_CHECK_IDS)
 def test_acceptance_criterion(check_id, capsys):
     (result,) = run_checks([check_id])
+    assert result.check_id == check_id
     with capsys.disabled():
         print(f"\n{result.line()}")
     assert result.passed, (

@@ -22,7 +22,7 @@ from tcladder.eigenanalysis import (
     splitting_roots,
     transition_eigenvalues,
 )
-from tcladder.liouvillian import population_block, regression_block
+from tcladder.liouvillian import line_values, population_block, regression_block
 from tcladder.space import SystemParams, build_basis
 from tcladder.verify import assignment_distance
 
@@ -384,11 +384,11 @@ class TestOracleEquivalence:
                 gamma_sigma=float(rng.uniform(0, 4)),
             )
             for m in (1, 2, 3):
-                lines = regression_block(p, basis, m).line_values()
+                lines = line_values(regression_block(p, basis, m))
                 expected = transition_eigenvalues(m, p)
                 worst = max(worst, assignment_distance(lines, expected))
             for m in (0, 1, 2):
-                lines = population_block(p, basis, m).line_values()
+                lines = line_values(population_block(p, basis, m))
                 expected = population_eigenvalues(m, p)
                 worst = max(worst, assignment_distance(lines, expected))
         assert worst < 1e-8
@@ -397,7 +397,7 @@ class TestOracleEquivalence:
         # closed forms at a 1% larger coupling must not match the blocks
         basis = build_basis(2)
         p = make_params(gamma_a=0.8, gamma_sigma=0.3)
-        lines = regression_block(p, basis, 2).line_values()
+        lines = line_values(regression_block(p, basis, 2))
         wrong = replace(p, g=1.01 * p.g)
         expected = transition_eigenvalues(2, wrong)
         assert assignment_distance(lines, expected) > 1e-8
@@ -424,7 +424,7 @@ class TestSecondEmitterWidensStrongCoupling:
 
         # the generator's population block of rung n carries the closed-form
         # values, and its positions spread by twice the splitting
-        lines = population_block(p, self.BASIS, n).line_values()
+        lines = line_values(population_block(p, self.BASIS, n))
         expected = population_eigenvalues(n, p)
         assert assignment_distance(lines, expected) < 1e-8
         assert abs(np.max(lines.real) - 2.0 * splitting) < 1e-8
@@ -495,7 +495,7 @@ class TestExceptionalPointsAgainstGenerator:
         ):
             swept = lines_of(n, sweep)
             for k, p in enumerate(points):
-                numeric = block_of(p, self.BASIS, n).line_values()
+                numeric = line_values(block_of(p, self.BASIS, n))
                 one = lines_of(n, p)
                 batched = swept[k]
                 assert assignment_distance(numeric, one) < 1e-8

@@ -14,7 +14,7 @@ from tcladder.hamiltonian import build_hamiltonian
 from tcladder.liouvillian import (
     build_generator,
     evolve,
-    generator_eig_to_line,
+    line_values,
     population_block,
     raising_coherence_generator,
     regression_block,
@@ -243,12 +243,12 @@ class TestBeyondCutoffRefused:
 
 class TestBlocks:
     def test_dimensions(self, basis3, params):
-        assert regression_block(params, basis3, 1).dim == 3
-        assert regression_block(params, basis3, 2).dim == 12
-        assert regression_block(params, basis3, 3).dim == 16
-        assert population_block(params, basis3, 0).dim == 1
-        assert population_block(params, basis3, 1).dim == 9
-        assert population_block(params, basis3, 2).dim == 16
+        assert regression_block(params, basis3, 1).shape == (3, 3)
+        assert regression_block(params, basis3, 2).shape == (12, 12)
+        assert regression_block(params, basis3, 3).shape == (16, 16)
+        assert population_block(params, basis3, 0).shape == (1, 1)
+        assert population_block(params, basis3, 1).shape == (9, 9)
+        assert population_block(params, basis3, 2).shape == (16, 16)
 
     def test_truncated_manifold_rejected(self, basis2, params):
         with pytest.raises(ValueError):
@@ -258,28 +258,28 @@ class TestBlocks:
 
     def test_vacuum_population_block_is_zero(self, basis2, params):
         block = population_block(params, basis2, 0)
-        assert block.matrix.shape == (1, 1)
-        assert np.abs(block.matrix[0, 0]) == 0.0
+        assert block.shape == (1, 1)
+        assert np.abs(block[0, 0]) == 0.0
 
     def test_first_block_matches_first_manifold_lines(self, basis2):
         params = SystemParams(omega0=10.0, delta=0.5, g=1.0, gamma_a=0.7, gamma_sigma=0.2)
-        lines = regression_block(params, basis2, 1).line_values()
+        lines = line_values(regression_block(params, basis2, 1))
         expected = transition_eigenvalues(1, params)
         assert assignment_distance(lines, expected) < 1e-10
 
     def test_population_block_matches_deltas(self, basis2):
         params = SystemParams(omega0=10.0, delta=-0.5, g=1.0, gamma_a=1.3, gamma_sigma=0.4)
         for m in (1, 2):
-            lines = population_block(params, basis2, m).line_values()
+            lines = line_values(population_block(params, basis2, m))
             expected = population_eigenvalues(m, params)
             assert assignment_distance(lines, expected) < 1e-10
 
     def test_block_spectra_inside_full_generator(self, basis2, params):
         gen_eigs = np.linalg.eigvals(build_generator(params, basis2))
-        blocks = [regression_block(params, basis2, m).eigenvalues() for m in (1, 2)]
-        blocks += [population_block(params, basis2, m).eigenvalues() for m in (0, 1, 2)]
-        for eigs in blocks:
-            for mu in eigs:
+        blocks = [regression_block(params, basis2, m) for m in (1, 2)]
+        blocks += [population_block(params, basis2, m) for m in (0, 1, 2)]
+        for block in blocks:
+            for mu in np.linalg.eigvals(block):
                 assert np.min(np.abs(gen_eigs - mu)) < 1e-8
 
     def test_raising_family_conjugate_to_lowering_blocks(self, basis2, params):
@@ -287,7 +287,7 @@ class TestBlocks:
         # sector m=1 occupies the first dim(L1)*dim(L0) slots
         n1 = basis2.manifold_dim(1) * basis2.manifold_dim(0)
         sub = gen[:n1, :n1]
-        lowering = regression_block(params, basis2, 1).matrix
+        lowering = regression_block(params, basis2, 1)
         assert assignment_distance(
             np.linalg.eigvals(sub), np.linalg.eigvals(lowering).conj()
         ) < 1e-10
@@ -310,14 +310,20 @@ class TestBlocks:
             idx = [c * basis.dim + r for r, c in pairs]
             return gen[np.ix_(idx, idx)]
 
-        blocks = [regression_block(params, basis, m) for m in range(1, cutoff + 1)]
-        blocks += [population_block(params, basis, m) for m in range(cutoff + 1)]
-        for block in blocks:
-            assert np.array_equal(block.matrix, sliced(block.op_index))
+        index = basis.manifold_index
+        blocks = [
+            (regression_block(params, basis, m), liouvillian._pairs(index[m - 1], index[m]))
+            for m in range(1, cutoff + 1)
+        ]
+        blocks += [
+            (population_block(params, basis, m), liouvillian._pairs(index[m], index[m]))
+            for m in range(cutoff + 1)
+        ]
+        for block, pairs in blocks:
+            assert np.array_equal(block, sliced(pairs))
         pairs, raising = raising_coherence_generator(params, basis)
         assert np.array_equal(raising, sliced(pairs))
 
     def test_line_convention_roundtrip(self, basis2, params):
         block = regression_block(params, basis2, 1)
-        mus = block.eigenvalues()
-        assert np.allclose(generator_eig_to_line(mus), 1j * mus)
+        assert np.array_equal(line_values(block), 1j * np.linalg.eigvals(block))
