@@ -12,8 +12,9 @@ individual fields.  Rates are given either in units of the coupling
 dataset is reproducible from its own header.
 
 Exit codes: 0 success, 1 verification or validation failure (an input out
-of floating-point range included), 2 a closed form failing its own
-cross-check, 64 usage error (an output that cannot be written included).
+of floating-point range and a failed allocation included), 2 a closed form
+failing its own cross-check, 64 usage error (an output that cannot be written
+included).
 """
 
 from __future__ import annotations
@@ -507,6 +508,9 @@ def cmd_spectrum(config: dict, out_dir: Path) -> int:
             "n_time": series.n_time,
             "convergence_delta": series.convergence_delta,
             "converged": series.converged,
+            "refinements": [
+                {"n_time": n_time, "delta": delta} for n_time, delta in series.refinements
+            ],
         },
         "peak_table": [asdict(row) for row in table.rows],
     }
@@ -620,6 +624,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAIL
     except (OverflowError, FloatingPointError) as exc:
         print(f"tcladder: input out of floating-point range: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except MemoryError as exc:
+        print(f"tcladder: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_FAIL
     except ea.SplittingCrossCheckError as exc:
         print(f"tcladder: numerical failure: {exc}", file=sys.stderr)

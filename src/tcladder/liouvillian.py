@@ -20,7 +20,7 @@ an index slice of it: the average of the basis operator ``|row><col|`` is
 Blocks are computed on those indices directly, never through the full
 matrix.  So is propagation: H conserves the excitation number and every
 decay lowers it, so :func:`evolve` builds the generator only on the manifolds
-the initial state touches and steps it with exact matrix exponentials.
+the initial state touches and propagates it with exact matrix exponentials.
 
 Eigenvalue convention: blocks generate real-time dynamics ``dx/dt = M x``.
 Multiplying an eigenvalue of ``M`` by ``1j`` (:func:`line_values`) yields the
@@ -29,8 +29,6 @@ imaginary part is minus half the linewidth.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 from scipy.linalg import expm
@@ -103,29 +101,53 @@ def build_generator(params: SystemParams, basis: TruncatedBasis) -> np.ndarray:
 
 
 def _propagate(gen: np.ndarray, x0: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """``expm(gen t) @ x0`` at every ``t`` of a strictly increasing grid from 0.
+    """``expm(gen t) @ x0`` at every ``t`` of a strictly increasing grid from 0,
+    as an array of shape ``(len(grid), len(x0))``.
 
-    Steps are exact exponentials, valid where ``gen`` is defective (at
-    exceptional points).  A grid whose points all lie within
-    ``1e-12 * grid[-1]`` of ``k h`` is uniform and takes one exponential; any
-    other grid takes one per interval.
+    No eigendecomposition is used, so the values stay exact where ``gen`` is
+    defective (at exceptional points).  A grid whose points all lie within
+    ``1e-12 * grid[-1]`` of ``k h`` is uniform and is filled by doubling: with
+    ``P = expm(gen h)^f`` and the first ``f`` points known, the next
+    ``min(f, n - f)`` are ``out[:m] @ P.T``, then ``P`` is squared, so ``n``
+    points take ``log2 n`` matrix products.  Any other grid takes one
+    exponential and one step per interval.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
         raise ValueError("time grids must be 1-d, strictly increasing and start at 0")
-    out = np.empty((grid.size, *x0.shape), dtype=complex)
+    n = grid.size
+    out = np.empty((n, x0.size), dtype=complex)
     out[0] = x0
-    if grid.size > 1:
-        h = grid[-1] / (grid.size - 1)
-        if np.max(np.abs(grid - h * np.arange(grid.size))) <= 1e-12 * grid[-1]:
-            steps = itertools.repeat(expm(gen * h))
+    if n > 1:
+        h = grid[-1] / (n - 1)
+        if np.max(np.abs(grid - h * np.arange(n))) <= 1e-12 * grid[-1]:
+            power, f = expm(gen * h), 1
+            while f < n:
+                m = min(f, n - f)
+                out[f : f + m] = out[:m] @ power.T
+                f += m
+                if f < n:
+                    power = power @ power
         else:
-            steps = (expm(gen * dt) for dt in np.diff(grid))
-        for k, step in zip(range(1, grid.size), steps):
-            out[k] = step @ out[k - 1]
+            for k, dt in enumerate(np.diff(grid), start=1):
+                out[k] = expm(gen * dt) @ out[k - 1]
     if not np.all(np.isfinite(out)):  # expm overflows without raising
         raise FloatingPointError("the propagated values are not finite")
     return out
+
+
+def _halve_step(gen: np.ndarray, coarse: np.ndarray, h: float) -> np.ndarray:
+    """Refine a :func:`_propagate` result from step ``2 h`` to step ``h``.
+
+    The even points are the rows of ``coarse``; each odd point is one step
+    ``expm(gen h)`` on the point before it, all in one matrix product.
+    """
+    fine = np.empty((2 * coarse.shape[0] - 1, coarse.shape[1]), dtype=complex)
+    fine[::2] = coarse
+    fine[1::2] = coarse[:-1] @ expm(gen * h).T
+    if not np.all(np.isfinite(fine[1::2])):
+        raise FloatingPointError("the propagated values are not finite")
+    return fine
 
 
 def top_manifold(rho0: np.ndarray, basis: TruncatedBasis) -> int:
@@ -140,11 +162,13 @@ def top_manifold(rho0: np.ndarray, basis: TruncatedBasis) -> int:
 
 def _live_trajectory(
     rho0: np.ndarray, params: SystemParams, basis: TruncatedBasis, t_grid: np.ndarray
-) -> tuple[int, np.ndarray]:
-    """The highest manifold ``M`` that ``rho0`` touches, and ``rho(t)`` on the
-    states of manifolds ``0..M``, the leading ``k`` basis states (shape
-    ``(n_t, k, k)``).  The generator maps the operators between those states
-    into themselves, so it is built and propagated on them only.  The photon
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The highest manifold ``M`` that ``rho0`` touches, the generator on the
+    operators between the states of manifolds ``0..M`` (the leading ``k``
+    basis states), and ``rho(t)`` on those states (shape ``(n_t, k, k)``).
+    The generator maps those operators into themselves, so it is built and
+    propagated on them only; it is returned so that a caller can refine the
+    trajectory (:func:`_halve_step` on its ``(n_t, k * k)`` view).  The photon
     truncation is exact only while ``M <= photon_cutoff``; any other ``rho0``
     is refused before the generator is built.
     """
@@ -157,7 +181,8 @@ def _live_trajectory(
     k = basis.manifold_index[top][-1] + 1
     index = np.arange(k)
     gen = _generator(params, basis, np.tile(index, k), np.repeat(index, k))
-    return top, _propagate(gen, rho0[:k, :k].reshape(-1), t_grid).reshape(-1, k, k)
+    traj = _propagate(gen, rho0[:k, :k].reshape(-1), t_grid).reshape(-1, k, k)
+    return top, gen, traj
 
 
 def evolve(
@@ -172,7 +197,7 @@ def evolve(
     ``photon_cutoff`` raises :class:`ValueError`.  The trace is never
     renormalized: trace drift is a diagnostic, not something to hide.
     """
-    _, live = _live_trajectory(rho0, params, basis, t_grid)
+    _, _, live = _live_trajectory(rho0, params, basis, t_grid)
     k = live.shape[1]
     out = np.zeros((live.shape[0], basis.dim, basis.dim), dtype=complex)
     out[:, :k, :k] = live

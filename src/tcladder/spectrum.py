@@ -22,18 +22,25 @@ is exposed as well; peak positions are insensitive to the choice, line shapes
 are not.  Both integrals are trapezoids on one uniform grid: the inner one is
 read out of a cumulative trapezoid and the kernel factors over blocks of
 ``ceil(sqrt(n_time + 1))`` delays, so a pass costs O(n_time) per ``w`` point.
+
+The ``rho`` trajectory and the read-out row on that grid are propagated by
+doubling (:func:`tcladder.liouvillian._propagate`).  Refinement halves the
+step: the generators, the raising family and its read-out coefficients are
+built once per :func:`physical_spectrum` call, and each pass keeps the
+previous pass's points as its even points and adds the odd ones with one
+step (:func:`tcladder.liouvillian._halve_step`).  A pass itself is pure
+quadrature on those arrays.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigenanalysis import _outer_difference, complex_eigenenergies, singlet_branch
-from .liouvillian import _live_trajectory, _propagate, raising_coherence_generator
+from .liouvillian import _halve_step, _live_trajectory, _propagate, raising_coherence_generator
 from .space import SystemParams, TruncatedBasis
 
 __all__ = [
@@ -53,7 +60,12 @@ OPERATOR_TAGS = ("a", "sigma1", "sigma2")
 
 @dataclass(frozen=True)
 class SpectrumSeries:
-    """Detector-filtered emission spectrum over ``omega_grid``."""
+    """Detector-filtered emission spectrum over ``omega_grid``.
+
+    ``refinements`` holds ``(n_time, delta)`` for each pass after the first,
+    ``delta`` being the peak-relative change from the pass before; the last
+    ``delta`` is ``convergence_delta`` (``inf`` when no refinement ran).
+    """
 
     operator: str
     kappa: float
@@ -64,6 +76,7 @@ class SpectrumSeries:
     n_time: int
     convergence_delta: float
     converged: bool
+    refinements: tuple[tuple[int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -114,29 +127,30 @@ def _operator_matrix(tag: str, basis: TruncatedBasis) -> np.ndarray:
 def _raising_family(
     operator: str,
     top: int,
-    rho_traj: np.ndarray,
+    k: int,
     params: SystemParams,
     basis: TruncatedBasis,
     rotating: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raising-family generator, initial values ``v`` (family x time) and the
-    coefficients that read ``O+`` back out of the family.  ``rho_traj``
-    lives on the leading ``k`` states, manifolds ``0..top``, so the sectors
-    ``m > top`` never hold weight and are left out."""
+    """Raising-family generator, the map ``lift`` from ``vec(rho)`` to the
+    family's initial values (``v = lift @ vec(rho)``) and the coefficients
+    that read ``O+`` back out of the family.  ``rho`` lives on the leading
+    ``k`` states, manifolds ``0..top``, so the sectors ``m > top`` never hold
+    weight and are left out."""
     pairs, gen = raising_coherence_generator(params, basis)
     n = sum(basis.manifold_dim(m) * basis.manifold_dim(m - 1) for m in range(1, top + 1))
     gen = gen[:n, :n]
     if rotating:
         gen = gen - 1j * params.omega0 * np.eye(n)
-    k = rho_traj.shape[1]
     op = _operator_matrix(operator, basis)[:k, :k]
     rows, cols = np.array(pairs[:n], dtype=int).reshape(-1, 2).T
 
-    # initial conditions <W_k O>(t) = (O rho(t))[col_k, row_k]
-    v = (op @ rho_traj)[:, cols, rows].T
+    # initial values <W_f O> = (O rho)[col_f, row_f] = sum_s O[col_f, s] rho[s, row_f]
+    lift = np.zeros((n, k, k), dtype=complex)
+    lift[np.arange(n), :, rows] = op[cols]
     # O+ expanded over the raising family: coefficients conj(O[col, row])
     coeff = op[cols, rows].conj()
-    return gen, v, coeff
+    return gen, lift.reshape(n, k * k), coeff
 
 
 def two_time_correlation(
@@ -154,8 +168,11 @@ def two_time_correlation(
     read-out row ``coeff . expm(N tau)``, propagated through ``N.T``, is
     applied to the initial values of every t.
     """
-    top, traj = _live_trajectory(rho0, params, basis, t_grid)
-    gen, v, coeff = _raising_family(operator, top, traj, params, basis, rotating=False)
+    top, _, traj = _live_trajectory(rho0, params, basis, t_grid)
+    gen, lift, coeff = _raising_family(
+        operator, top, traj.shape[1], params, basis, rotating=False
+    )
+    v = lift @ traj.reshape(traj.shape[0], -1).T
     return (_propagate(gen.T, coeff, tau_grid) @ v).T
 
 
@@ -179,31 +196,25 @@ def default_collection_time(params: SystemParams) -> float:
 
 
 def _spectrum_pass(
-    operator: str,
-    rho0: np.ndarray,
-    params: SystemParams,
-    basis: TruncatedBasis,
+    readout: np.ndarray,
+    v: np.ndarray,
+    h: float,
     kappa: float,
-    collection_time: float,
-    omega_grid: np.ndarray,
-    kernel_sign: float,
-    n_time: int,
+    rate: np.ndarray,
 ) -> np.ndarray:
-    """One quadrature pass on a uniform shared t/tau grid of ``n_time`` steps.
+    """One quadrature pass on a uniform shared t/tau grid ``t_i = i h``,
+    ``i = 0 .. n_time``.
 
-    With ``r_j = coeff . S^j`` the read-out row (``S = expm(N h)``) and
-    ``w_i`` the weighted family values at ``t_i``, the inner trapezoid over
-    ``t_0 .. t_{n_time - j}`` is ``r_j`` applied to the cumulative trapezoid
-    of ``w``.  The kernel ``e^{rate t_j}`` factors over ``t_j = (q b + r) h``,
+    ``readout[j] = coeff . S^j`` is the read-out row (``S = expm(N h)``),
+    ``v[:, i]`` the family values at ``t_i`` and ``rate`` the kernel exponent
+    ``+-kappa - i (w - w0)`` per ``w``.  With ``w_i`` the weighted family
+    values, the inner trapezoid over ``t_0 .. t_{n_time - j}`` is
+    ``readout[j]`` applied to the cumulative trapezoid of ``w``.  The kernel
+    ``e^{rate t_j}`` factors over ``t_j = (q b + r) h``,
     ``b = ceil(sqrt(n_time + 1))``, into a ``w x b`` and a ``w x q`` array.
     """
-    grid = np.linspace(0.0, collection_time, n_time + 1)
-    h = collection_time / n_time
-    top, traj = _live_trajectory(rho0, params, basis, grid)
-    # carrier factored out
-    gen, v, coeff = _raising_family(operator, top, traj, params, basis, rotating=True)
-    readout = _propagate(gen.T, coeff, grid)
-    weighted = v * np.exp(-2.0 * kappa * (collection_time - grid))
+    n_time = v.shape[1] - 1
+    weighted = v * np.exp(-2.0 * kappa * h * np.arange(n_time, -1, -1))
 
     # inner integral over t in [0, T - tau_j]: trap[:, L] is the trapezoid
     # over t_0 .. t_L, read out at L = n_time - j (empty at j = n_time)
@@ -216,7 +227,6 @@ def _spectrum_pass(
     blocks = np.zeros(q * b, dtype=complex)
     blocks[: n_time + 1] = h * inner
     blocks[[0, n_time]] *= 0.5
-    rate = kernel_sign * kappa - 1j * (omega_grid - params.omega0)
     within = np.exp(rate[:, None] * (h * np.arange(b)))
     across = np.exp(rate[:, None] * (h * b * np.arange(q)))
     return 2.0 * kappa * np.real(np.sum(across * (within @ blocks.reshape(q, b).T), axis=1))
@@ -239,8 +249,14 @@ def physical_spectrum(
 
     The time grid is refined (halving the spacing) until the peak value moves
     by less than ``target_delta`` relative; non-convergence is reported in
-    ``converged``, not hidden.  ``kernel="verbatim"`` keeps the growing
+    ``converged``, not hidden, and every refinement's ``(n_time, delta)`` is
+    kept in ``refinements``.  ``kernel="verbatim"`` keeps the growing
     ``e^{+kappa tau}`` factor, ``"decaying"`` flips its sign.
+
+    The live generator, the raising family and its read-out coefficients are
+    built once per call.  Each refinement keeps the previous pass's ``rho``
+    trajectory and read-out row as its even points and adds the odd ones
+    with one step each (:func:`tcladder.liouvillian._halve_step`).
     """
     if kernel not in ("verbatim", "decaying"):
         raise ValueError(f"kernel must be 'verbatim' or 'decaying', got {kernel!r}")
@@ -254,17 +270,29 @@ def physical_spectrum(
         raise ValueError("collection time must be positive")
     omega_grid = np.asarray(omega_grid, dtype=float)
     sign = 1.0 if kernel == "verbatim" else -1.0
+    rate = sign * kappa - 1j * (omega_grid - params.omega0)
 
-    run_pass = functools.partial(
-        _spectrum_pass, operator, rho0, params, basis, kappa, collection_time, omega_grid, sign
+    grid = np.linspace(0.0, collection_time, n_time + 1)
+    top, live, traj = _live_trajectory(rho0, params, basis, grid)
+    # carrier factored out
+    family, lift, coeff = _raising_family(
+        operator, top, traj.shape[1], params, basis, rotating=True
     )
-    values = run_pass(n_time)
+    traj = traj.reshape(n_time + 1, -1)
+    readout = _propagate(family.T, coeff, grid)
+    h = collection_time / n_time
+    values = _spectrum_pass(readout, lift @ traj.T, h, kappa, rate)
     delta = np.inf
+    refinements = []
     for _ in range(max_refinements):
         n_time *= 2
-        refined = run_pass(n_time)
+        h = collection_time / n_time
+        traj = _halve_step(live, traj, h)
+        readout = _halve_step(family.T, readout, h)
+        refined = _spectrum_pass(readout, lift @ traj.T, h, kappa, rate)
         scale = np.max(np.abs(refined))
         delta = float(np.max(np.abs(refined - values)) / scale) if scale > 0 else 0.0
+        refinements.append((n_time, delta))
         values = refined
         if delta <= target_delta:
             break
@@ -278,6 +306,7 @@ def physical_spectrum(
         n_time=n_time,
         convergence_delta=delta,
         converged=delta <= target_delta,
+        refinements=tuple(refinements),
     )
 
 

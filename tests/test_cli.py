@@ -23,6 +23,7 @@ from tcladder.cli import (
     main,
     resolve_config,
 )
+from tcladder import cli
 from tcladder import eigenanalysis as ea
 from tcladder.space import DickeLabel, build_basis
 
@@ -362,6 +363,25 @@ class TestNumericalFailure:
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (MemoryError("Unable to allocate 7 TiB"), "tcladder: Unable to allocate 7 TiB\n"),
+            (MemoryError(), "tcladder: out of memory\n"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["evolve", "spectrum"])
+    def test_memory_error_fails_with_one_line(
+        self, tmp_path, capsys, monkeypatch, command, error, line
+    ):
+        # the command raises as an oversized allocation would; nothing is allocated
+        def exhausted(config, out_dir):
+            raise error
+
+        monkeypatch.setattr(cli, f"cmd_{command}", exhausted)
+        assert main([command, "--out", str(tmp_path)]) == EXIT_FAIL
+        assert capsys.readouterr().err == line
+
     def test_other_arithmetic_error_is_not_numerical_failure(self, tmp_path, monkeypatch):
         def broken(n, params):
             raise ZeroDivisionError("float division by zero")
@@ -434,6 +454,11 @@ class TestSpectrumCommand:
         assert sidecar["resolved"]["kappa"] == 0.1
         assert sidecar["resolved"]["kernel"] == "decaying"
         assert "convergence_delta" in sidecar["resolved"]
+        refinements = sidecar["resolved"]["refinements"]
+        assert 1 <= len(refinements) <= 2
+        assert [r["n_time"] for r in refinements] == [256, 512][: len(refinements)]
+        assert refinements[-1]["delta"] == sidecar["resolved"]["convergence_delta"]
+        assert sidecar["resolved"]["n_time"] == refinements[-1]["n_time"]
         positions = [row["position"] for row in sidecar["peak_table"]]
         assert positions == sorted(positions)
         assert {row["m"] for row in sidecar["peak_table"]} == {1}
@@ -463,6 +488,16 @@ class TestSpectrumCommand:
         assert err.startswith("warning: spectrum quadrature delta ") and err.count("\n") == 1
         sidecar = json.loads((tmp_path / "spectrum_meta.json").read_text())
         assert sidecar["resolved"]["converged"] is False
+
+    def test_byte_identical_reruns(self, tmp_path):
+        argv = ["spectrum", "--set", "spectrum.n_time=64", "--set", "grids.omega.num=41"]
+        for run in ("first", "second"):
+            assert main(argv + ["--out", str(tmp_path / run)]) == EXIT_OK
+        for name in ("spectrum.csv", "spectrum_meta.json"):
+            first = (tmp_path / "first" / name).read_bytes()
+            assert first == (tmp_path / "second" / name).read_bytes()
+        sidecar = json.loads((tmp_path / "first" / "spectrum_meta.json").read_text())
+        assert [r["n_time"] for r in sidecar["resolved"]["refinements"]][:1] == [128]
 
     def test_vacuum_spectrum_all_zero(self, tmp_path):
         code = main(

@@ -190,6 +190,93 @@ class TestReachableSubspace:
         assert np.max(np.abs(traj[-1, :8, :8])) > 0.1
 
 
+_PROPAGATOR_PARAMS = {
+    "lossy": SystemParams(omega0=10.0, delta=0.3, g=1.0, gamma_a=0.3, gamma_sigma=0.15),
+    # at gamma_sigma = 0 and zero detuning two rung-1 levels coalesce at
+    # gamma_a = 4 sqrt(2) g, and two rung-2 levels at gamma_a = 4 sqrt(u) g,
+    # u = 3.2664... the real root of 16 u^3 - 72 u^2 + 81 u - 54
+    "rung-1-ep": SystemParams(
+        omega0=10.0, delta=0.0, g=1.0, gamma_a=4.0 * math.sqrt(2.0), gamma_sigma=0.0
+    ),
+    "rung-2-ep": SystemParams(
+        omega0=10.0, delta=0.0, g=1.0, gamma_a=7.229357977808088, gamma_sigma=0.0
+    ),
+    "lossless": SystemParams(omega0=10.0, delta=0.3, g=1.0, gamma_a=0.0, gamma_sigma=0.0),
+}
+
+
+def _live_generator(name):
+    """Generator on the live states of both-excited at cutoff 2 (rungs 0..2,
+    64 vec entries) and ``vec(rho0)`` on them."""
+    basis = build_basis(2)
+    rho0 = _pure(basis, 0, DickeLabel.T_PLUS)
+    _, gen, traj = liouvillian._live_trajectory(
+        rho0, _PROPAGATOR_PARAMS[name], basis, np.zeros(1)
+    )
+    return gen, traj[0].reshape(-1)
+
+
+def _stepped(gen, x0, steps):
+    """``x0`` and its images under each step matrix in turn: the reference."""
+    out = [x0.astype(complex)]
+    for step in steps:
+        out.append(step @ out[-1])
+    return np.array(out)
+
+
+def _relative_error(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+class TestPropagate:
+    """Doubling on uniform grids, halving, and the per-interval path, against
+    stepping with ``expm``."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_exceptional_points_are_defective(self, m):
+        block = regression_block(_PROPAGATOR_PARAMS[f"rung-{m}-ep"], build_basis(2), m)
+        assert np.linalg.cond(np.linalg.eig(block)[1]) > 1e6
+
+    # 3, 5, 201 and 1025 points end on a partial block of the doubling
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 201, 1025])
+    @pytest.mark.parametrize("name", sorted(_PROPAGATOR_PARAMS))
+    def test_doubling_matches_stepping(self, name, n):
+        gen, x0 = _live_generator(name)
+        grid = np.linspace(0.0, 20.0, n)
+        got = liouvillian._propagate(gen, x0, grid)
+        steps = [expm(gen * 20.0 / (n - 1))] * (n - 1) if n > 1 else []
+        assert got.shape == (n, x0.size)
+        assert _relative_error(got, _stepped(gen, x0, steps)) <= 1e-13
+
+    @pytest.mark.parametrize("n_time", [1, 2, 7, 512])
+    @pytest.mark.parametrize("name", sorted(_PROPAGATOR_PARAMS))
+    def test_halving_matches_fresh_propagation(self, name, n_time):
+        gen, x0 = _live_generator(name)
+        coarse = liouvillian._propagate(gen, x0, np.linspace(0.0, 20.0, n_time + 1))
+        fine = liouvillian._halve_step(gen, coarse, 20.0 / (2 * n_time))
+        fresh = liouvillian._propagate(gen, x0, np.linspace(0.0, 20.0, 2 * n_time + 1))
+        assert np.array_equal(fine[::2], coarse)
+        assert _relative_error(fine, fresh) <= 1e-13
+
+    def test_nonuniform_grid_steps_each_interval(self, monkeypatch):
+        gen, x0 = _live_generator("lossy")
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(liouvillian, "expm", counted)
+        grid = np.array([0.0, 0.05, 0.3, 1.75, 4.0, 12.0])
+        got = liouvillian._propagate(gen, x0, grid)
+        assert len(calls) == grid.size - 1
+        steps = [expm(gen * dt) for dt in np.diff(grid)]
+        assert _relative_error(got, _stepped(gen, x0, steps)) <= 1e-13
+        calls.clear()
+        liouvillian._propagate(gen, x0, np.linspace(0.0, 12.0, 6))
+        assert len(calls) == 1
+
+
 class TestTopManifold:
     @pytest.mark.parametrize(
         "state, top",

@@ -354,6 +354,20 @@ def _per_tau_pass(operator, rho0, params, basis, kappa, collection_time, omega_g
     return 2.0 * kappa * np.real(kernel @ (tau_weights * inner))
 
 
+def _pass_inputs(operator, rho0, params, basis, kappa, collection_time, omega_grid, sign, n_time):
+    """The arguments of ``_spectrum_pass``, propagated afresh on the
+    ``n_time`` grid by the package's own helpers."""
+    grid = np.linspace(0.0, collection_time, n_time + 1)
+    top, _, traj = liouvillian._live_trajectory(rho0, params, basis, grid)
+    family, lift, coeff = spectrum._raising_family(
+        operator, top, traj.shape[1], params, basis, rotating=True
+    )
+    readout = liouvillian._propagate(family.T, coeff, grid)
+    v = lift @ traj.reshape(n_time + 1, -1).T
+    rate = sign * kappa - 1j * (omega_grid - params.omega0)
+    return readout, v, collection_time / n_time, kappa, rate
+
+
 class TestFusedPass:
     PARAMS = SystemParams(omega0=10.0, delta=0.2, g=1.0, gamma_a=0.1, gamma_sigma=0.05)
     OMEGA = {
@@ -373,7 +387,7 @@ class TestFusedPass:
             basis, 1, DickeLabel.T_MINUS
         )
         args = (operator, rho0, self.PARAMS, basis, 0.05, 40.0, self.OMEGA[omega], sign, n_time)
-        fused = spectrum._spectrum_pass(*args)
+        fused = spectrum._spectrum_pass(*_pass_inputs(*args))
         expected = _per_tau_pass(*args)
         assert np.max(np.abs(fused - expected)) < 1e-12 * np.max(np.abs(expected))
 
@@ -383,14 +397,71 @@ class TestFusedPass:
         p = SystemParams(omega0=10.0, delta=0.0, g=1.0, gamma_a=0.02, gamma_sigma=0.02)
         rho0 = _pure(basis, 0, DickeLabel.T_PLUS)
         args = ("a", rho0, p, basis, 0.02, 150.0, np.linspace(5.5, 14.5, 901), -1.0, 4096)
-        spectrum._spectrum_pass(*args[:-1], 8)  # caches and imports outside the trace
+        # caches and imports outside the trace
+        spectrum._spectrum_pass(*_pass_inputs(*args[:-1], 8))
         tracemalloc.start()
         try:
-            spectrum._spectrum_pass(*args)
+            spectrum._spectrum_pass(*_pass_inputs(*args))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+class TestRefinementReuse:
+    """Refinement halves the step on the arrays of the pass before, with the
+    generators built once per call."""
+
+    P = SystemParams(omega0=10.0, delta=0.2, g=1.0, gamma_a=0.1, gamma_sigma=0.05)
+    OMEGA = np.linspace(7.0, 13.0, 121)
+
+    @pytest.mark.parametrize("kernel", ["verbatim", "decaying"])
+    def test_refined_passes_match_fresh_passes(self, basis2, kernel):
+        rho0 = _pure(basis2, 0, DickeLabel.T_PLUS)
+        common = dict(kappa=0.05, collection_time=40.0, kernel=kernel)
+        series = physical_spectrum(
+            "a", rho0, self.P, basis2, self.OMEGA, n_time=75, max_refinements=3,
+            target_delta=0.0, **common,
+        )
+        fresh = [
+            physical_spectrum(
+                "a", rho0, self.P, basis2, self.OMEGA, n_time=n, max_refinements=0, **common
+            )
+            for n in (75, 150, 300, 600)
+        ]
+        assert series.n_time == 600 and not series.converged
+        scale = np.max(np.abs(fresh[-1].values))
+        assert np.max(np.abs(series.values - fresh[-1].values)) < 1e-12 * scale
+        # each delta compares a pass with the one before it
+        assert [n for n, _ in series.refinements] == [150, 300, 600]
+        values = [f.values for f in fresh]
+        for (_, delta), coarse, fine in zip(series.refinements, values, values[1:]):
+            want = np.max(np.abs(fine - coarse)) / np.max(np.abs(fine))
+            assert abs(delta - want) < 1e-9 * want
+        assert series.refinements[-1][1] == series.convergence_delta
+        assert fresh[0].refinements == () and fresh[0].convergence_delta == np.inf
+
+    def test_generators_built_once_per_call(self, monkeypatch, basis2):
+        calls = []
+        live = spectrum._live_trajectory
+        family = spectrum.raising_coherence_generator
+
+        def counted_live(*args):
+            calls.append("live")
+            return live(*args)
+
+        def counted_family(*args):
+            calls.append("family")
+            return family(*args)
+
+        monkeypatch.setattr(spectrum, "_live_trajectory", counted_live)
+        monkeypatch.setattr(spectrum, "raising_coherence_generator", counted_family)
+        series = physical_spectrum(
+            "a", _pure(basis2, 0, DickeLabel.T_PLUS), self.P, basis2, self.OMEGA,
+            kappa=0.05, collection_time=40.0, n_time=32, max_refinements=3, target_delta=0.0,
+        )
+        assert len(series.refinements) == 3 and not series.converged
+        assert calls == ["live", "family"]
 
 
 class TestNoFullGenerator:
