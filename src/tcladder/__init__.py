@@ -1,11 +1,11 @@
 """Dissipative ladder of two identical two-level emitters in a lossy cavity.
 
 The package provides the truncated state space and bare operators
-(:mod:`~tcladder.space`), the coupled Hamiltonian with its closed-form
-dressed levels (:mod:`~tcladder.hamiltonian`), the Lindblad generator with
-its coherence and population blocks (:mod:`~tcladder.liouvillian`), closed
-forms for the complex eigenenergies and the strong-coupling criterion
-(:mod:`~tcladder.eigenanalysis`), regression-theorem correlation functions
+(:mod:`~tcladder.space`), the coupled Hamiltonian (:mod:`~tcladder.hamiltonian`),
+the Lindblad generator with its coherence and population blocks
+(:mod:`~tcladder.liouvillian`), closed forms for the complex eigenenergies
+and the strong-coupling criterion (:mod:`~tcladder.eigenanalysis`),
+regression-theorem correlation functions
 and detector-filtered spectra (:mod:`~tcladder.spectrum`), and a
 verification suite (:mod:`~tcladder.verify`) plus command line front end
 (:mod:`~tcladder.cli`).
@@ -21,11 +21,7 @@ from .space import (  # noqa: E402
     bare_operators,
     build_basis,
 )
-from .hamiltonian import (  # noqa: E402
-    DressedLevel,
-    build_hamiltonian,
-    dressed_levels_analytic,
-)
+from .hamiltonian import build_hamiltonian  # noqa: E402
 from .liouvillian import (  # noqa: E402
     build_generator,
     evolve,
@@ -58,9 +54,7 @@ __all__ = [
     "TruncatedBasis",
     "bare_operators",
     "build_basis",
-    "DressedLevel",
     "build_hamiltonian",
-    "dressed_levels_analytic",
     "build_generator",
     "evolve",
     "population_block",

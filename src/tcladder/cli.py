@@ -532,22 +532,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(result.line())
     if args.json:
         Path(args.json).write_text(
-            json.dumps(
-                [
-                    {
-                        "check_id": r.check_id,
-                        "description": r.description,
-                        "passed": bool(r.passed),
-                        "tolerance": r.tolerance,
-                        "measured": float(r.measured),
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
+            json.dumps([asdict(r) for r in results], sort_keys=True, indent=2) + "\n"
         )
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 

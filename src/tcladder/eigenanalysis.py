@@ -61,12 +61,14 @@ __all__ = [
     "jc_reference",
 ]
 
-#: relative (to g) radius below which parameters count as sitting on the
-#: exceptional point where the complex Rabi frequency vanishes.  The trig
-#: root formula is 0/0 there and a direct cubic solve takes over.  Floating
-#: point cancellation in R^2 leaves a noise floor of order sqrt(eps) * g
-#: (a few 1e-8 g) at a true exceptional point, so the radius must sit above
-#: that; the trig form stays accurate to 1e-14 all the way down to it.
+#: relative (to g) radius below which parameters count as sitting where the
+#: complex Rabi frequency vanishes.  ``R_n = 0`` is a removable singularity
+#: of the trig root formula, which is 0/0 there, so a direct cubic solve
+#: takes over; no two levels coalesce at it (the true coalescences sit on
+#: the strong-coupling boundary, :func:`sc_boundary`).  Floating point
+#: cancellation in R^2 leaves a noise floor of order sqrt(eps) * g (a few
+#: 1e-8 g) where R_n vanishes exactly, so the radius must sit above that;
+#: the trig form stays accurate to 1e-14 all the way down to it.
 EXCEPTIONAL_POINT_TOL = 1e-6
 
 
@@ -163,9 +165,9 @@ def splitting_roots(n: int, params: SystemParams) -> np.ndarray:
 
     Equivalently, ``-i P_k`` are the roots of
     ``x^3 + ((4n-2) g^2 - c^2) x - 2 c g^2``; the internal cross-check below
-    enforces that identity on every point.  Near the exceptional point the
-    trigonometric form degenerates and a direct cubic solve is used instead,
-    point by point; ``Q_n`` is evaluated only away from it.
+    enforces that identity on every point.  Near ``R_n = 0``, a removable
+    singularity of the trigonometric form, a direct cubic solve is used
+    instead, point by point; ``Q_n`` is evaluated only away from it.
 
     Sorted by descending real part (ties: descending imaginary part); they
     sum to zero.
@@ -307,7 +309,8 @@ def sc_criterion(n: int, params: SystemParams) -> SCDiagnostic:
     y = params.gamma_minus / g
     r_squared = (4 * n - 2) - 4 * y * y  # (R_n / g)^2, real at zero detuning
     if abs(r_squared) <= EXCEPTIONAL_POINT_TOL**2:
-        # exceptional point: cube-root splitting persists (|Im Q| -> infinity)
+        # R_n = 0, a removable singularity of the trig form and no level
+        # coalescence: the splitting persists (|Im Q| -> infinity)
         return SCDiagnostic(strong_coupling=True, r_real=False, im_q=math.inf)
     if r_squared > 0:
         return SCDiagnostic(strong_coupling=True, r_real=True, im_q=0.0)

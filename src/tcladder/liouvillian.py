@@ -105,12 +105,13 @@ def _propagate(gen: np.ndarray, x0: np.ndarray, grid: np.ndarray) -> np.ndarray:
     as an array of shape ``(len(grid), len(x0))``.
 
     No eigendecomposition is used, so the values stay exact where ``gen`` is
-    defective (at exceptional points).  A grid whose points all lie within
-    ``1e-12 * grid[-1]`` of ``k h`` is uniform and is filled by doubling: with
-    ``P = expm(gen h)^f`` and the first ``f`` points known, the next
-    ``min(f, n - f)`` are ``out[:m] @ P.T``, then ``P`` is squared, so ``n``
-    points take ``log2 n`` matrix products.  Any other grid takes one
-    exponential and one step per interval.
+    defective (where two levels coalesce, on the strong-coupling boundary).
+    A grid whose points all lie within ``1e-12 * grid[-1]`` of ``k h`` is
+    uniform and is filled by doubling: with ``P = expm(gen h)^f`` and the
+    first ``f`` points known, the next ``min(f, n - f)`` are
+    ``out[:m] @ P.T``, then ``P`` is squared, so ``n`` points take ``log2 n``
+    matrix products.  Any other grid takes one exponential and one step per
+    interval.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):

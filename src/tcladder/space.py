@@ -50,15 +50,6 @@ _EXCITATIONS = {
     DickeLabel.T_PLUS: 2,
 }
 
-# Tie-break order for equal photon number within a manifold.
-_MATTER_ORDER = {
-    DickeLabel.T_MINUS: 0,
-    DickeLabel.T_ZERO: 1,
-    DickeLabel.SINGLET: 2,
-    DickeLabel.T_PLUS: 3,
-}
-
-
 @dataclass(frozen=True)
 class BasisState:
     """Bare state ``|photons, matter>``."""
@@ -70,9 +61,6 @@ class BasisState:
     def excitation(self) -> int:
         """Total excitation number (photons plus excited emitters)."""
         return self.photons + self.matter.excitations
-
-    def __str__(self) -> str:
-        return f"|{self.photons},{self.matter.value}>"
 
 
 @dataclass(frozen=True)
@@ -153,9 +141,6 @@ class TruncatedBasis:
     def index_of(self, photons: int, matter: DickeLabel) -> int:
         return self._lookup[BasisState(photons, matter)]
 
-    def manifold_states(self, n: int) -> tuple[BasisState, ...]:
-        return tuple(self.states[i] for i in self.manifold_index[n])
-
     def manifold_slice(self, n: int) -> slice:
         idx = self.manifold_index[n]
         return slice(idx[0], idx[-1] + 1)
@@ -186,12 +171,13 @@ def build_basis(photon_cutoff: int) -> TruncatedBasis:
     states: list[BasisState] = []
     manifold_index: dict[int, tuple[int, ...]] = {}
     for n in range(photon_cutoff + 3):
+        # DickeLabel runs by rising excitation, T0 before S: decreasing
+        # photon number within the manifold, as the canonical order asks
         members = [
             BasisState(n - label.excitations, label)
             for label in DickeLabel
             if 0 <= n - label.excitations <= photon_cutoff
         ]
-        members.sort(key=lambda s: (-s.photons, _MATTER_ORDER[s.matter]))
         manifold_index[n] = tuple(range(len(states), len(states) + len(members)))
         states.extend(members)
 

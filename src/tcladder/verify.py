@@ -22,7 +22,8 @@ from scipy.optimize import linear_sum_assignment
 from . import eigenanalysis as ea
 from . import liouvillian as lv
 from . import spectrum as sp
-from .hamiltonian import build_hamiltonian, dressed_levels_analytic, manifold_block
+from .cli import initial_density_matrix
+from .hamiltonian import build_hamiltonian
 from .space import DickeLabel, SystemParams, build_basis
 
 __all__ = [
@@ -42,6 +43,11 @@ class CheckResult:
     tolerance: float
     measured: float
     detail: str = ""
+
+    def __post_init__(self) -> None:
+        # plain Python scalars, so asdict() of a result is ready for JSON
+        object.__setattr__(self, "passed", bool(self.passed))
+        object.__setattr__(self, "measured", float(self.measured))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -90,15 +96,15 @@ def _stacked(points: list[SystemParams]) -> SystemParams:
 # ---------------------------------------------------------------------------
 
 def check_dressed_energies() -> CheckResult:
-    """Manifold block eigenvalues against the closed-form dressed energies."""
+    """Manifold block eigenvalues against the lossless closed-form levels."""
     params = SystemParams(omega0=7.0, delta=0.0, g=1.3, gamma_a=0.0, gamma_sigma=0.0)
     basis = build_basis(8)
     h = build_hamiltonian(params, basis)
     worst = 0.0
     for n in range(1, 9):
-        block = manifold_block(h, basis, n)
-        numeric = np.sort(np.linalg.eigvalsh(block))
-        analytic = np.sort([level.energy for level in dressed_levels_analytic(n, params)])
+        sl = basis.manifold_slice(n)
+        numeric = np.sort(np.linalg.eigvalsh(h[sl, sl]))
+        analytic = np.sort(ea.complex_eigenenergies(n, params).real)
         scale = max(abs(n * params.omega0), params.g)
         worst = max(worst, float(np.max(np.abs(numeric - analytic)) / scale))
     return CheckResult(
@@ -110,20 +116,25 @@ def check_dressed_energies() -> CheckResult:
     )
 
 
-def _coherence_worst(
-    points: list[SystemParams], closed_form_points: list[SystemParams], ms: tuple[int, ...]
+def _oracle_worst(
+    block_of,
+    lines_of,
+    expected_dims: dict[int, int],
+    points: list[SystemParams],
+    closed_form_points: list[SystemParams],
 ) -> tuple[float, str]:
-    """Worst distance between the coherence block spectra at ``points`` and
-    the closed forms at the matching ``closed_form_points``."""
+    """Worst distance between the spectra of the blocks ``block_of(params,
+    basis, m)`` at ``points`` and the closed forms ``lines_of(m, .)`` at the
+    matching ``closed_form_points``, over the ``m`` of ``expected_dims``; a
+    block whose size is not the expected one reads infinite."""
     basis = build_basis(3)
-    expected_dims = {1: 3, 2: 12, 3: 16}
     stacked = _stacked(closed_form_points)
-    analytic = {m: ea.transition_eigenvalues(m, stacked) for m in ms}
+    analytic = {m: lines_of(m, stacked) for m in expected_dims}
     worst = 0.0
     for k, params in enumerate(points):
-        for m in ms:
-            block = lv.regression_block(params, basis, m)
-            if len(block) != expected_dims[m]:
+        for m, dim in expected_dims.items():
+            block = block_of(params, basis, m)
+            if len(block) != dim:
                 return math.inf, f"block m={m} has dim {len(block)}"
             worst = max(worst, assignment_distance(lv.line_values(block), analytic[m][k]))
     return worst, ""
@@ -132,7 +143,9 @@ def _coherence_worst(
 def check_coherence_oracle() -> CheckResult:
     """Coherence block spectra vs analytic eigenenergy differences."""
     points = _random_parameter_grid(51)
-    worst, detail = _coherence_worst(points, points, (1, 2, 3))
+    worst, detail = _oracle_worst(
+        lv.regression_block, ea.transition_eigenvalues, {1: 3, 2: 12, 3: 16}, points, points
+    )
     return CheckResult(
         "c02-coherence-oracle",
         "block eigenvalues m=1..3 vs closed forms, 51 random points",
@@ -145,33 +158,21 @@ def check_coherence_oracle() -> CheckResult:
 
 def check_population_oracle() -> CheckResult:
     """Population block spectra vs analytic within-manifold differences."""
-    basis = build_basis(3)
-    expected_dims = {0: 1, 1: 9, 2: 16, 3: 16}
     points = _random_parameter_grid(51)
-    stacked = _stacked(points)
-    analytic = {m: ea.population_eigenvalues(m, stacked) for m in range(4)}
-    worst = 0.0
-    for k, params in enumerate(points):
-        for m in (0, 1, 2, 3):
-            block = lv.population_block(params, basis, m)
-            if len(block) != expected_dims[m]:
-                return CheckResult(
-                    "c03-population-oracle",
-                    "population blocks m=0..3 vs closed forms",
-                    False,
-                    1e-8,
-                    math.inf,
-                    f"block m={m} has dim {len(block)}",
-                )
-            worst = max(worst, assignment_distance(lv.line_values(block), analytic[m][k]))
-            if m == 0:
-                worst = max(worst, float(np.abs(block).max()))
+    worst, detail = _oracle_worst(
+        lv.population_block,
+        ea.population_eigenvalues,
+        {0: 1, 1: 9, 2: 16, 3: 16},
+        points,
+        points,
+    )
     return CheckResult(
         "c03-population-oracle",
         "population blocks m=0..3 vs closed forms, 51 random points",
         worst < 1e-8,
         1e-8,
         worst,
+        detail,
     )
 
 
@@ -298,17 +299,11 @@ def check_master_equation() -> CheckResult:
         basis.index_of(p, DickeLabel.SINGLET) for p in range(basis.photon_cutoff + 1)
     ]
 
-    def initial(name: str) -> np.ndarray:
-        rho = np.zeros((basis.dim, basis.dim), complex)
-        state = {"both-excited": (0, DickeLabel.T_PLUS), "one-photon": (1, DickeLabel.T_MINUS)}[name]
-        k = basis.index_of(*state)
-        rho[k, k] = 1.0
-        return rho
-
     report = {"trace": 0.0, "herm": 0.0, "neg": 0.0, "dN": -math.inf, "singlet": 0.0}
     for name in ("both-excited", "one-photon"):
         params = SystemParams(omega0=10.0, delta=0.0, g=1.0, gamma_a=0.25, gamma_sigma=0.15)
-        traj = lv.evolve(initial(name), params, basis, t_grid)
+        rho0 = initial_density_matrix({"initial_state": name}, basis)
+        traj = lv.evolve(rho0, params, basis, t_grid)
         adj = traj.conj().transpose(0, 2, 1)
         report["trace"] = max(
             report["trace"], float(np.max(np.abs(np.einsum("tii->t", traj) - 1.0)))
@@ -319,7 +314,8 @@ def check_master_equation() -> CheckResult:
         report["dN"] = max(report["dN"], float(np.max(np.diff(exp_n))))
 
     params0 = SystemParams(omega0=10.0, delta=0.0, g=1.0, gamma_a=0.25, gamma_sigma=0.0)
-    traj = lv.evolve(initial("both-excited"), params0, basis, t_grid)
+    rho0 = initial_density_matrix({"initial_state": "both-excited"}, basis)
+    traj = lv.evolve(rho0, params0, basis, t_grid)
     report["singlet"] = float(
         np.max(np.abs(traj[:, singlet_idx, singlet_idx].real))
     )
@@ -402,9 +398,7 @@ def check_spectrum_peaks() -> CheckResult:
     params = SystemParams(omega0=10.0, delta=0.0, g=1.0, gamma_a=0.05, gamma_sigma=0.05)
     kappa = 0.05
 
-    rho_sym = np.zeros((basis.dim, basis.dim), complex)
-    k = basis.index_of(0, DickeLabel.T_ZERO)
-    rho_sym[k, k] = 1.0
+    rho_sym = initial_density_matrix({"initial_state": "symmetric-one"}, basis)
     omega_a = np.linspace(7.0, 13.0, 601)
     series = sp.physical_spectrum(
         "a", rho_sym, params, basis,
@@ -416,9 +410,7 @@ def check_spectrum_peaks() -> CheckResult:
     targets = np.array([10.0 - math.sqrt(2.0), 10.0 + math.sqrt(2.0)])
     worst = assignment_distance(np.sort(top2), targets) if top2.size == 2 else math.inf
 
-    rho_exc = np.zeros((basis.dim, basis.dim), complex)
-    k = basis.index_of(0, DickeLabel.T_PLUS)
-    rho_exc[k, k] = 1.0
+    rho_exc = initial_density_matrix({"initial_state": "both-excited"}, basis)
     omega_b = np.linspace(5.5, 14.5, 901)
     series_b = sp.physical_spectrum(
         "a", rho_exc, params, basis,
@@ -453,7 +445,13 @@ def check_spectrum_peaks() -> CheckResult:
 def check_negative_control() -> CheckResult:
     """Closed forms at a 1% larger coupling must fail the coherence oracle."""
     points = _random_parameter_grid(6)
-    worst, _ = _coherence_worst(points, [replace(p, g=1.01 * p.g) for p in points], (1, 2))
+    worst, _ = _oracle_worst(
+        lv.regression_block,
+        ea.transition_eigenvalues,
+        {1: 3, 2: 12},
+        points,
+        [replace(p, g=1.01 * p.g) for p in points],
+    )
     return CheckResult(
         "c12-negative-control",
         "closed forms at a 1% larger g fail the coherence oracle",

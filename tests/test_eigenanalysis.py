@@ -49,8 +49,8 @@ def gamma_minus_at_ep(n):
 
 @st.composite
 def lane_strategy(draw):
-    """One sweep point: random, on an exceptional point (flagged), within
-    1e-6 g of one, weakly coupled in rungs 1..4 at zero detuning, or detuned."""
+    """One sweep point: random, where ``R_n = 0`` (flagged), within 1e-6 g of
+    it, weakly coupled in rungs 1..4 at zero detuning, or detuned."""
     kind = draw(st.sampled_from(["random", "flagged", "near", "weak", "detuned"]))
     gamma_sigma = draw(rate_strategy(0.0, 2.0))
     gamma_minus = gamma_minus_at_ep(draw(st.integers(2, 4)))
@@ -455,7 +455,7 @@ class TestArrayLanes:
                     assert split == 0.0 and one == 0.0
 
     def test_shape_follows_the_swept_fields(self):
-        # the second gamma_a sits on the exceptional point of rung 2
+        # the second gamma_a sits where R_2 = 0
         gamma_a = np.array([0.0, 4.0 * gamma_minus_at_ep(2), 12.0]).reshape(3, 1)
         sweep = make_params(gamma_a=gamma_a, omega0=np.array([9.0, 10.0]))
         for n in (2, 3):

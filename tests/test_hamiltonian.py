@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tcladder.eigenanalysis import transition_eigenvalues
-from tcladder.hamiltonian import build_hamiltonian, dressed_levels_analytic, manifold_block
-from tcladder.space import DickeLabel, SystemParams, bare_operators, build_basis
+from tcladder.hamiltonian import build_hamiltonian
+from tcladder.space import SystemParams, bare_operators, build_basis
 
 
 def _params(omega0=5.0, delta=0.0, g=1.0):
@@ -23,13 +23,15 @@ class TestHamiltonianMatrix:
     def test_first_manifold_eigenvalues(self):
         basis = build_basis(3)
         h = build_hamiltonian(_params(), basis)
-        eig = np.sort(np.linalg.eigvalsh(manifold_block(h, basis, 1)))
+        sl = basis.manifold_slice(1)
+        eig = np.sort(np.linalg.eigvalsh(h[sl, sl]))
         assert np.allclose(eig, [5 - np.sqrt(2), 5, 5 + np.sqrt(2)], atol=1e-12)
 
     def test_second_manifold_eigenvalues(self):
         basis = build_basis(3)
         h = build_hamiltonian(_params(), basis)
-        eig = np.sort(np.linalg.eigvalsh(manifold_block(h, basis, 2)))
+        sl = basis.manifold_slice(2)
+        eig = np.sort(np.linalg.eigvalsh(h[sl, sl]))
         assert np.allclose(eig, [10 - np.sqrt(6), 10, 10, 10 + np.sqrt(6)], atol=1e-12)
 
     def test_commutes_with_number(self):
@@ -46,75 +48,10 @@ class TestHamiltonianMatrix:
         params = SystemParams(omega0=5.0, delta=delta, g=0.0, gamma_a=0, gamma_sigma=0)
         h = build_hamiltonian(params, basis)
         for n in range(0, 3):
-            block = manifold_block(h, basis, n)
-            for state, energy in zip(basis.manifold_states(n), np.diag(block).real):
-                assert energy == pytest.approx(
-                    n * 5.0 - delta * state.matter.excitations
+            for i in basis.manifold_index[n]:
+                assert h[i, i].real == pytest.approx(
+                    n * 5.0 - delta * basis.states[i].matter.excitations
                 )
-
-
-class TestDressedLevels:
-    def test_first_manifold_states(self):
-        levels = dressed_levels_analytic(1, _params())
-        assert [lv.branch for lv in levels] == [2, 3, 4]
-        by_branch = {lv.branch: lv for lv in levels}
-        assert by_branch[2].energy == pytest.approx(5 + np.sqrt(2))
-        assert by_branch[3].energy == pytest.approx(5 - np.sqrt(2))
-        assert by_branch[4].energy == pytest.approx(5.0)
-        r = 1 / np.sqrt(2)
-        assert np.allclose(by_branch[2].state, [r, r, 0], atol=1e-15)
-        assert np.allclose(by_branch[3].state, [r, -r, 0], atol=1e-15)
-        assert np.allclose(by_branch[4].state, [0, 0, 1], atol=1e-15)
-
-    def test_second_manifold_branch_one(self):
-        levels = {lv.branch: lv for lv in dressed_levels_analytic(2, _params())}
-        v = levels[1].state
-        # components over |2,T-1>, |1,T0>, |1,S>, |0,T1>
-        assert v[3] == pytest.approx(np.sqrt(2 / 3))
-        assert v[0] == pytest.approx(-np.sqrt(1 / 3))
-        assert v[1] == v[2] == 0.0
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_orthonormal(self, n):
-        levels = dressed_levels_analytic(n, _params())
-        vectors = np.array([lv.state for lv in levels])
-        gram = vectors @ vectors.T
-        assert np.allclose(gram, np.eye(len(levels)), atol=1e-14)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_numerical_block(self, n):
-        basis = build_basis(5)
-        params = _params(omega0=9.0, g=0.8)
-        h = build_hamiltonian(params, basis)
-        block = manifold_block(h, basis, n).real
-        numeric_vals, numeric_vecs = np.linalg.eigh(block)
-        levels = dressed_levels_analytic(n, params)
-        analytic_vals = np.sort([lv.energy for lv in levels])
-        scale = max(abs(n * params.omega0), params.g)
-        assert np.max(np.abs(np.sort(numeric_vals) - analytic_vals)) < 1e-10 * scale
-
-        # nondegenerate branches: eigenvectors match up to phase
-        for lv in levels:
-            if lv.branch in (2, 3):
-                k = int(np.argmin(np.abs(numeric_vals - lv.energy)))
-                assert abs(abs(numeric_vecs[:, k] @ lv.state) - 1) < 1e-10
-        # the degenerate center pair is disambiguated by the singlet axis:
-        # both analytic vectors must lie in the numerical eigenspace
-        if n >= 2:
-            center = [k for k, val in enumerate(numeric_vals)
-                      if abs(val - n * params.omega0) < 1e-8 * scale]
-            assert len(center) == 2
-            span = numeric_vecs[:, center]
-            proj = span @ span.T
-            for lv in levels:
-                if lv.branch in (1, 4):
-                    assert np.allclose(proj @ lv.state, lv.state, atol=1e-10)
-
-    def test_rejects_vacuum_and_detuning(self):
-        with pytest.raises(ValueError):
-            dressed_levels_analytic(0, _params())
-        with pytest.raises(ValueError):
-            dressed_levels_analytic(1, _params(delta=0.1))
 
 
 class TestTransitionFrequencies:

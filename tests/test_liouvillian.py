@@ -172,7 +172,8 @@ class TestReachableSubspace:
     @pytest.mark.parametrize("offset", [0.0, 1e-6, -1e-6])
     @pytest.mark.parametrize("state", sorted(_STATES))
     def test_exceptional_point(self, state, offset):
-        # R_1 = sqrt(2 g^2 - gamma_-^2) vanishes at gamma_a = 4 sqrt(2) g
+        # the rung-1 pair, split by 2 sqrt(2 g^2 - gamma_-^2), coalesces at
+        # gamma_a = 4 sqrt(2) g, the strong-coupling boundary of rung 1
         basis = build_basis(2)
         params = SystemParams(
             omega0=10.0, delta=0.0, g=1.0,

@@ -18,12 +18,14 @@ class TestBasisCounting:
     def test_cutoff_zero(self):
         basis = build_basis(0)
         assert basis.dim == 4
-        assert basis.manifold_states(0) == (BasisState(0, DickeLabel.T_MINUS),)
-        assert basis.manifold_states(1) == (
-            BasisState(0, DickeLabel.T_ZERO),
-            BasisState(0, DickeLabel.SINGLET),
-        )
-        assert basis.manifold_states(2) == (BasisState(0, DickeLabel.T_PLUS),)
+        states = {
+            n: [basis.states[i] for i in idx] for n, idx in basis.manifold_index.items()
+        }
+        assert states == {
+            0: [BasisState(0, DickeLabel.T_MINUS)],
+            1: [BasisState(0, DickeLabel.T_ZERO), BasisState(0, DickeLabel.SINGLET)],
+            2: [BasisState(0, DickeLabel.T_PLUS)],
+        }
 
     def test_cutoff_two(self):
         basis = build_basis(2)

@@ -1,7 +1,12 @@
 from types import SimpleNamespace
 
-from tcladder import verify
-from tcladder.verify import ALL_CHECK_IDS, check_qrt_identity, select_checks
+from tcladder import eigenanalysis, verify
+from tcladder.verify import (
+    ALL_CHECK_IDS,
+    check_dressed_energies,
+    check_qrt_identity,
+    select_checks,
+)
 
 
 class TestSelection:
@@ -26,3 +31,11 @@ def test_qrt_line_does_not_depend_on_runtime(monkeypatch):
     assert first.passed and second.passed
     assert first.detail != second.detail
     assert first.line() == second.line()
+
+
+def test_dressed_energies_check_reads_the_closed_form(monkeypatch):
+    closed_form = eigenanalysis.complex_eigenenergies
+    monkeypatch.setattr(
+        eigenanalysis, "complex_eigenenergies", lambda n, params: closed_form(n, params) + 1e-6
+    )
+    assert not check_dressed_energies().passed
