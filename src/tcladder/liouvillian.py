@@ -19,8 +19,10 @@ an index slice of it: the average of the basis operator ``|row><col|`` is
 ``build_generator(...)[np.ix_(idx, idx)]`` with ``idx = col * dim + row``.
 Blocks are computed on those indices directly, never through the full
 matrix.  So is propagation: H conserves the excitation number and every
-decay lowers it, so :func:`evolve` builds the generator only on the manifolds
-the initial state touches and propagates it with exact matrix exponentials.
+decay lowers both sides of ``rho`` together, so :func:`evolve` builds the
+generator only on the manifolds the initial state touches and, within them,
+on the entries ``rho[i, j]`` whose manifold difference ``m_i - m_j`` the
+initial state holds, and propagates it with exact matrix exponentials.
 
 Eigenvalue convention: blocks generate real-time dynamics ``dx/dt = M x``.
 Multiplying an eigenvalue of ``M`` by ``1j`` (:func:`line_values`) yields the
@@ -163,15 +165,23 @@ def top_manifold(rho0: np.ndarray, basis: TruncatedBasis) -> int:
 
 def _live_trajectory(
     rho0: np.ndarray, params: SystemParams, basis: TruncatedBasis, t_grid: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """The highest manifold ``M`` that ``rho0`` touches, the generator on the
-    operators between the states of manifolds ``0..M`` (the leading ``k``
-    basis states), and ``rho(t)`` on those states (shape ``(n_t, k, k)``).
-    The generator maps those operators into themselves, so it is built and
-    propagated on them only; it is returned so that a caller can refine the
-    trajectory (:func:`_halve_step` on its ``(n_t, k * k)`` view).  The photon
-    truncation is exact only while ``M <= photon_cutoff``; any other ``rho0``
-    is refused before the generator is built.
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The highest manifold ``M`` that ``rho0`` touches, the flat indices
+    ``kept`` into the block of the leading ``k`` basis states (manifolds
+    ``0..M``) that can hold weight, the generator on them, and ``rho(t)`` at
+    those indices (shape ``(n_t, kept.size)``, entry ``p`` being
+    ``rho[p // k, p % k]``).
+
+    Every decay lowers both sides of ``rho`` together and H conserves the
+    excitation number, so the generator never mixes entries ``rho[i, j]``
+    of different manifold differences ``m_i - m_j`` (the weak symmetry of
+    Buca and Prosen).  Only the differences that ``rho0`` holds are kept:
+    26 of 64 entries for both-excited, the diagonal sector.  The generator
+    maps them into themselves, so it is built and propagated on them only;
+    it is returned so that a caller can refine the trajectory
+    (:func:`_halve_step`).  The photon truncation is exact only while
+    ``M <= photon_cutoff``; any other ``rho0`` is refused before the
+    generator is built.
     """
     top = top_manifold(rho0, basis)
     if top > basis.photon_cutoff:
@@ -180,10 +190,13 @@ def _live_trajectory(
             f"only up to manifold {basis.photon_cutoff} at this cutoff"
         )
     k = basis.manifold_index[top][-1] + 1
-    index = np.arange(k)
-    gen = _generator(params, basis, np.tile(index, k), np.repeat(index, k))
-    traj = _propagate(gen, rho0[:k, :k].reshape(-1), t_grid).reshape(-1, k, k)
-    return top, gen, traj
+    excitation = np.array([state.excitation for state in basis.states[:k]])
+    difference = (excitation[:, None] - excitation).reshape(-1)
+    held = difference[rho0[:k, :k].reshape(-1) != 0]
+    kept = np.flatnonzero(np.isin(difference, held))
+    cols, rows = np.divmod(kept, k)
+    gen = _generator(params, basis, rows, cols)
+    return top, kept, gen, _propagate(gen, rho0[cols, rows], t_grid)
 
 
 def evolve(
@@ -198,10 +211,10 @@ def evolve(
     ``photon_cutoff`` raises :class:`ValueError`.  The trace is never
     renormalized: trace drift is a diagnostic, not something to hide.
     """
-    _, _, live = _live_trajectory(rho0, params, basis, t_grid)
-    k = live.shape[1]
+    top, kept, _, live = _live_trajectory(rho0, params, basis, t_grid)
+    i, j = np.divmod(kept, basis.manifold_index[top][-1] + 1)
     out = np.zeros((live.shape[0], basis.dim, basis.dim), dtype=complex)
-    out[:, :k, :k] = live
+    out[:, i, j] = live
     return out
 
 

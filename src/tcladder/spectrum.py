@@ -22,13 +22,16 @@ is exposed as well; peak positions are insensitive to the choice, line shapes
 are not.  Both integrals are trapezoids on one uniform grid: the inner one is
 read out of a cumulative trapezoid and the kernel factors over blocks of
 ``ceil(sqrt(n_time + 1))`` delays, so a pass costs O(n_time) per ``w`` point.
+The two kernel factors are running products of ``e^{rate h}`` and of
+``e^{rate h b}``: two complex exponentials per ``w`` point.
 
-The ``rho`` trajectory and the read-out row on that grid are propagated by
-doubling (:func:`tcladder.liouvillian._propagate`).  Refinement halves the
-step: the generators, the raising family and its read-out coefficients are
-built once per :func:`physical_spectrum` call, and each pass keeps the
-previous pass's points as its even points and adds the odd ones with one
-step (:func:`tcladder.liouvillian._halve_step`).  A pass itself is pure
+The ``rho`` trajectory, on the symmetry sector that ``rho0`` occupies
+(:func:`tcladder.liouvillian._live_trajectory`), and the read-out row on
+that grid are propagated by doubling (:func:`tcladder.liouvillian._propagate`).
+Refinement halves the step: the generators, the raising family and its
+read-out coefficients are built once per :func:`physical_spectrum` call, and
+each pass keeps the previous pass's points as its even points and adds the
+odd ones with one step (:func:`tcladder.liouvillian._halve_step`).  A pass itself is pure
 quadrature on those arrays.
 """
 
@@ -127,7 +130,6 @@ def _operator_matrix(tag: str, basis: TruncatedBasis) -> np.ndarray:
 def _raising_family(
     operator: str,
     top: int,
-    k: int,
     params: SystemParams,
     basis: TruncatedBasis,
     rotating: bool,
@@ -135,8 +137,9 @@ def _raising_family(
     """Raising-family generator, the map ``lift`` from ``vec(rho)`` to the
     family's initial values (``v = lift @ vec(rho)``) and the coefficients
     that read ``O+`` back out of the family.  ``rho`` lives on the leading
-    ``k`` states, manifolds ``0..top``, so the sectors ``m > top`` never hold
-    weight and are left out."""
+    ``k`` states, manifolds ``0..top``, so ``vec(rho)`` has ``k * k`` entries
+    and the sectors ``m > top`` never hold weight and are left out."""
+    k = basis.manifold_index[top][-1] + 1
     pairs, gen = raising_coherence_generator(params, basis)
     n = sum(basis.manifold_dim(m) * basis.manifold_dim(m - 1) for m in range(1, top + 1))
     gen = gen[:n, :n]
@@ -168,11 +171,9 @@ def two_time_correlation(
     read-out row ``coeff . expm(N tau)``, propagated through ``N.T``, is
     applied to the initial values of every t.
     """
-    top, _, traj = _live_trajectory(rho0, params, basis, t_grid)
-    gen, lift, coeff = _raising_family(
-        operator, top, traj.shape[1], params, basis, rotating=False
-    )
-    v = lift @ traj.reshape(traj.shape[0], -1).T
+    top, kept, _, traj = _live_trajectory(rho0, params, basis, t_grid)
+    gen, lift, coeff = _raising_family(operator, top, params, basis, rotating=False)
+    v = lift[:, kept] @ traj.T
     return (_propagate(gen.T, coeff, tau_grid) @ v).T
 
 
@@ -195,6 +196,15 @@ def default_collection_time(params: SystemParams) -> float:
     )
 
 
+def _powers(base: np.ndarray, count: int) -> np.ndarray:
+    """``base[:, None] ** arange(count)`` as running products along the
+    second axis: one ``exp`` per row instead of one per entry."""
+    out = np.empty((base.size, count), dtype=complex)
+    out[:, 0] = 1.0
+    out[:, 1:] = base[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
 def _spectrum_pass(
     readout: np.ndarray,
     v: np.ndarray,
@@ -211,7 +221,8 @@ def _spectrum_pass(
     values, the inner trapezoid over ``t_0 .. t_{n_time - j}`` is
     ``readout[j]`` applied to the cumulative trapezoid of ``w``.  The kernel
     ``e^{rate t_j}`` factors over ``t_j = (q b + r) h``,
-    ``b = ceil(sqrt(n_time + 1))``, into a ``w x b`` and a ``w x q`` array.
+    ``b = ceil(sqrt(n_time + 1))``, into a ``w x b`` and a ``w x q`` array,
+    the powers of ``e^{rate h}`` and of ``e^{rate h b}`` (:func:`_powers`).
     """
     n_time = v.shape[1] - 1
     weighted = v * np.exp(-2.0 * kappa * h * np.arange(n_time, -1, -1))
@@ -227,8 +238,8 @@ def _spectrum_pass(
     blocks = np.zeros(q * b, dtype=complex)
     blocks[: n_time + 1] = h * inner
     blocks[[0, n_time]] *= 0.5
-    within = np.exp(rate[:, None] * (h * np.arange(b)))
-    across = np.exp(rate[:, None] * (h * b * np.arange(q)))
+    within = _powers(np.exp(rate * h), b)
+    across = _powers(np.exp(rate * (h * b)), q)
     return 2.0 * kappa * np.real(np.sum(across * (within @ blocks.reshape(q, b).T), axis=1))
 
 
@@ -273,12 +284,10 @@ def physical_spectrum(
     rate = sign * kappa - 1j * (omega_grid - params.omega0)
 
     grid = np.linspace(0.0, collection_time, n_time + 1)
-    top, live, traj = _live_trajectory(rho0, params, basis, grid)
+    top, kept, live, traj = _live_trajectory(rho0, params, basis, grid)
     # carrier factored out
-    family, lift, coeff = _raising_family(
-        operator, top, traj.shape[1], params, basis, rotating=True
-    )
-    traj = traj.reshape(n_time + 1, -1)
+    family, lift, coeff = _raising_family(operator, top, params, basis, rotating=True)
+    lift = lift[:, kept]
     readout = _propagate(family.T, coeff, grid)
     h = collection_time / n_time
     values = _spectrum_pass(readout, lift @ traj.T, h, kappa, rate)

@@ -191,6 +191,57 @@ class TestReachableSubspace:
         assert np.max(np.abs(traj[-1, :8, :8])) > 0.1
 
 
+# initial states and the number of entries of rho that their sector keeps
+_SECTOR_SIZES = [
+    ("vacuum", 1),
+    ("one-photon", 10),
+    ("both-excited", 26),
+    ("symmetric-one", 10),
+    pytest.param([[0, "T-1", 0.6, 0], [0, "T1", 0, 0.8]], 34, id="superposition-0-2"),
+]
+_SECTOR_PARAMS = SystemParams(omega0=10.0, delta=0.3, g=1.0, gamma_a=0.3, gamma_sigma=0.15)
+_SECTOR_GRID = np.linspace(0.0, 12.0, 7)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_propagators(cutoff):
+    """The dense generator at ``cutoff`` and ``expm(G t)`` on the sector grid."""
+    gen = build_generator(_SECTOR_PARAMS, build_basis(cutoff))
+    return gen, [expm(gen * t) for t in _SECTOR_GRID]
+
+
+class TestSymmetrySectors:
+    """Propagation keeps only the entries ``rho[i, j]`` of the live block whose
+    manifold difference ``m_i - m_j`` the initial state holds; the dense
+    generator must not couple them to any other entry."""
+
+    @pytest.mark.parametrize("cutoff", [2, 3])
+    @pytest.mark.parametrize("spec, size", _SECTOR_SIZES)
+    def test_sector_is_closed_and_exact(self, cutoff, spec, size):
+        basis = build_basis(cutoff)
+        rho0 = initial_density_matrix({"initial_state": spec}, basis)
+        t = _SECTOR_GRID
+        top, kept, _, _ = liouvillian._live_trajectory(rho0, _SECTOR_PARAMS, basis, t)
+        assert kept.size == size
+
+        # vec index of rho[i, j] in the dense generator is i * dim + j
+        k = basis.manifold_index[top][-1] + 1
+        i, j = np.divmod(np.arange(k * k), k)
+        block = i * basis.dim + j
+        in_sector = np.isin(np.arange(k * k), kept)
+        sector, dropped = block[in_sector], block[~in_sector]
+        gen, propagators = _dense_propagators(cutoff)
+        assert not np.any(gen[np.ix_(sector, dropped)])
+        assert not np.any(gen[np.ix_(dropped, sector)])
+        # and nothing in the sector feeds an entry outside the live block
+        outside = np.setdiff1d(np.arange(basis.dim**2), block)
+        assert not np.any(gen[np.ix_(outside, sector)])
+
+        got = evolve(rho0, _SECTOR_PARAMS, basis, t).reshape(t.size, -1)
+        want = np.array([step @ rho0.reshape(-1) for step in propagators])
+        assert np.max(np.abs(got - want)) < 1e-13
+
+
 _PROPAGATOR_PARAMS = {
     "lossy": SystemParams(omega0=10.0, delta=0.3, g=1.0, gamma_a=0.3, gamma_sigma=0.15),
     # at gamma_sigma = 0 and zero detuning two rung-1 levels coalesce at
@@ -207,14 +258,15 @@ _PROPAGATOR_PARAMS = {
 
 
 def _live_generator(name):
-    """Generator on the live states of both-excited at cutoff 2 (rungs 0..2,
-    64 vec entries) and ``vec(rho0)`` on them."""
+    """Generator on the live sector of both-excited at cutoff 2 (the 26
+    entries of rungs 0..2 that connect a rung with itself) and ``rho0`` on
+    them."""
     basis = build_basis(2)
     rho0 = _pure(basis, 0, DickeLabel.T_PLUS)
-    _, gen, traj = liouvillian._live_trajectory(
+    _, _, gen, traj = liouvillian._live_trajectory(
         rho0, _PROPAGATOR_PARAMS[name], basis, np.zeros(1)
     )
-    return gen, traj[0].reshape(-1)
+    return gen, traj[0]
 
 
 def _stepped(gen, x0, steps):

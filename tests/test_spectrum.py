@@ -358,12 +358,10 @@ def _pass_inputs(operator, rho0, params, basis, kappa, collection_time, omega_gr
     """The arguments of ``_spectrum_pass``, propagated afresh on the
     ``n_time`` grid by the package's own helpers."""
     grid = np.linspace(0.0, collection_time, n_time + 1)
-    top, _, traj = liouvillian._live_trajectory(rho0, params, basis, grid)
-    family, lift, coeff = spectrum._raising_family(
-        operator, top, traj.shape[1], params, basis, rotating=True
-    )
+    top, kept, _, traj = liouvillian._live_trajectory(rho0, params, basis, grid)
+    family, lift, coeff = spectrum._raising_family(operator, top, params, basis, rotating=True)
     readout = liouvillian._propagate(family.T, coeff, grid)
-    v = lift @ traj.reshape(n_time + 1, -1).T
+    v = lift[:, kept] @ traj.T
     rate = sign * kappa - 1j * (omega_grid - params.omega0)
     return readout, v, collection_time / n_time, kappa, rate
 
@@ -387,6 +385,19 @@ class TestFusedPass:
             basis, 1, DickeLabel.T_MINUS
         )
         args = (operator, rho0, self.PARAMS, basis, 0.05, 40.0, self.OMEGA[omega], sign, n_time)
+        fused = spectrum._spectrum_pass(*_pass_inputs(*args))
+        expected = _per_tau_pass(*args)
+        assert np.max(np.abs(fused - expected)) < 1e-12 * np.max(np.abs(expected))
+
+    # the kernel is built from running products of e^{rate h} and e^{rate h b};
+    # over T = 200 and |w - w0| <= 5 their phases reach 1000 rad
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_running_products_hold_over_long_windows(self, sign):
+        # one rung keeps the per-tau loop's O(n_time^2) cost small
+        basis = build_basis(1)
+        rho0 = _pure(basis, 1, DickeLabel.T_MINUS)
+        omega = np.linspace(5.0, 15.0, 81)
+        args = ("a", rho0, self.PARAMS, basis, 0.02, 200.0, omega, sign, 4096)
         fused = spectrum._spectrum_pass(*_pass_inputs(*args))
         expected = _per_tau_pass(*args)
         assert np.max(np.abs(fused - expected)) < 1e-12 * np.max(np.abs(expected))
