@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import sys
 from collections.abc import Iterable, Iterator
@@ -383,6 +384,7 @@ def cmd_criterion(config: dict, out_dir: Path) -> int:
         raise ConfigValidationError(
             f"criterion maps the resonant case only; got params.delta = {params.delta:g}"
         )
+    ea._require_coupling(params)  # both tables are in units of g
     g = params.g
     ys = np.linspace(1e-4, 2.5, 400)
     # scalar on purpose: libm pow, not numpy's vectorised one, so every
@@ -559,6 +561,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tcladder", description=__doc__)
     parser.add_argument("--version", action="version", version=f"tcladder {__version__}")

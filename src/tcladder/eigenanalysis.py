@@ -34,7 +34,7 @@ expansions stay scalar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,19 +110,6 @@ def _require_coupling(params: SystemParams) -> None:
         raise ValueError("this quantity is scaled by g and needs g > 0")
 
 
-def _lanes(params: SystemParams, mask: np.ndarray) -> SystemParams:
-    """The params of the sweep points where ``mask`` holds, as 1-d arrays in
-    C order.  ``mask`` has the shape of the rates, detuning and coupling;
-    ``omega0``, which no splitting depends on, stays as it is."""
-    return replace(
-        params,
-        **{
-            name: np.broadcast_to(getattr(params, name), mask.shape)[mask]
-            for name in ("delta", "g", "gamma_a", "gamma_sigma")
-        },
-    )
-
-
 def complex_rabi(n: int, params: SystemParams) -> complex | np.ndarray:
     """Complex Rabi frequency ``sqrt((4n-2) g^2 - 4 (gamma_- + i delta/2)^2)``.
 
@@ -151,7 +138,13 @@ def discriminant(n: int, params: SystemParams) -> complex | np.ndarray:
             f"R_{n} = {np.asarray(rabi)[flagged][0]:.3e} vanishes at these parameters; "
             "the discriminant is undefined"
         )
-    return 6.0 * math.sqrt(3.0) * (_c(params) / 2.0) / g / (rabi / g) ** 3
+    return _discriminant(_c(params), g, rabi)
+
+
+def _discriminant(c, g, rabi):
+    """``6 sqrt(3) (c/2)/g / (R_n/g)^3``, the formula that
+    :func:`discriminant` and :func:`splitting_roots` share."""
+    return 6.0 * math.sqrt(3.0) * (c / 2.0) / g / (rabi / g) ** 3
 
 
 def splitting_roots(n: int, params: SystemParams) -> np.ndarray:
@@ -187,7 +180,8 @@ def splitting_roots(n: int, params: SystemParams) -> np.ndarray:
         roots[i] = np.roots([1.0, 0.0, -k_lin[i], 2j * g[i] * g[i] * c[i]])
     ok = ~flagged
     if ok.any():
-        q = discriminant(n, params if ok.all() else _lanes(params, ok.reshape(shape)))
+        # all-scalar params keep Python's complex division (numpy's rounds apart)
+        q = discriminant(n, params) if ok.all() else _discriminant(c[ok], g[ok], rabi[ok])
         theta = np.arccos(-1j * np.ravel(q))[:, None]
         ks = np.arange(1, 4)
         trig = rabi[ok, None] * np.cos((theta + 2.0 * ks * np.pi) / 3.0) / np.cos(np.pi / 6.0)

@@ -15,14 +15,15 @@ Vectorization convention: ``vec(rho) = rho.reshape(-1)`` (row stacking), so
 The generator is assembled in one place, :func:`_generator`.  Every block is
 an index slice of it: the average of the basis operator ``|row><col|`` is
 ``tr(rho |row><col|) = rho[col, row]``, which sits at vec index
-``col * dim + row``, so the block on a list of ``(row, col)`` pairs is
-``build_generator(...)[np.ix_(idx, idx)]`` with ``idx = col * dim + row``.
-Blocks are computed on those indices directly, never through the full
-matrix.  So is propagation: H conserves the excitation number and every
-decay lowers both sides of ``rho`` together, so :func:`evolve` builds the
-generator only on the manifolds the initial state touches and, within them,
-on the entries ``rho[i, j]`` whose manifold difference ``m_i - m_j`` the
-initial state holds, and propagates it with exact matrix exponentials.
+``col * dim + row``, so the block on the index arrays ``(rows, cols)`` is
+``build_generator(...)[np.ix_(idx, idx)]`` with ``idx = cols * dim + rows``,
+computed on those indices directly.  One rule, :func:`_sector`, picks the
+operators of every block, of the raising family and of propagation: H
+conserves the excitation number and every decay lowers both sides of
+``rho`` together, so :func:`evolve` builds the generator only on the
+manifolds the initial state touches and, within them, on the entries
+``rho[i, j]`` whose manifold difference ``m_i - m_j`` the initial state
+holds, and propagates it with exact matrix exponentials.
 
 Eigenvalue convention: blocks generate real-time dynamics ``dx/dt = M x``.
 Multiplying an eigenvalue of ``M`` by ``1j`` (:func:`line_values`) yields the
@@ -32,8 +33,9 @@ imaginary part is minus half the linewidth.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
-from scipy.linalg import expm
 
 from .space import SystemParams, TruncatedBasis
 
@@ -115,6 +117,8 @@ def _propagate(gen: np.ndarray, x0: np.ndarray, grid: np.ndarray) -> np.ndarray:
     matrix products.  Any other grid takes one exponential and one step per
     interval.
     """
+    from scipy.linalg import expm
+
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
         raise ValueError("time grids must be 1-d, strictly increasing and start at 0")
@@ -145,6 +149,8 @@ def _halve_step(gen: np.ndarray, coarse: np.ndarray, h: float) -> np.ndarray:
     The even points are the rows of ``coarse``; each odd point is one step
     ``expm(gen h)`` on the point before it, all in one matrix product.
     """
+    from scipy.linalg import expm
+
     fine = np.empty((2 * coarse.shape[0] - 1, coarse.shape[1]), dtype=complex)
     fine[::2] = coarse
     fine[1::2] = coarse[:-1] @ expm(gen * h).T
@@ -159,18 +165,16 @@ def top_manifold(rho0: np.ndarray, basis: TruncatedBasis) -> int:
     nonzero entry (0 for the zero matrix)."""
     if rho0.shape != (basis.dim, basis.dim):
         raise ValueError(f"rho0 shape {rho0.shape} does not match basis dim {basis.dim}")
-    touched = np.flatnonzero(np.any(rho0 != 0, axis=0) | np.any(rho0 != 0, axis=1))
-    return basis.states[touched.max()].excitation if touched.size else 0
+    return int(basis.excitation[np.concatenate(np.nonzero(rho0))].max(initial=0))
 
 
 def _live_trajectory(
     rho0: np.ndarray, params: SystemParams, basis: TruncatedBasis, t_grid: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The highest manifold ``M`` that ``rho0`` touches, the flat indices
-    ``kept`` into the block of the leading ``k`` basis states (manifolds
-    ``0..M``) that can hold weight, the generator on them, and ``rho(t)`` at
-    those indices (shape ``(n_t, kept.size)``, entry ``p`` being
-    ``rho[p // k, p % k]``).
+) -> tuple[int, tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """The highest manifold ``M`` that ``rho0`` touches, the entries
+    ``(i, j)`` of ``rho`` on manifolds ``0..M`` that can hold weight, the
+    generator on them, and ``rho(t)`` there (column ``p`` is
+    ``rho[i[p], j[p]]``).
 
     Every decay lowers both sides of ``rho`` together and H conserves the
     excitation number, so the generator never mixes entries ``rho[i, j]``
@@ -189,14 +193,12 @@ def _live_trajectory(
             f"initial state reaches manifold {top}; photon truncation is exact "
             f"only up to manifold {basis.photon_cutoff} at this cutoff"
         )
-    k = basis.manifold_index[top][-1] + 1
-    excitation = np.array([state.excitation for state in basis.states[:k]])
-    difference = (excitation[:, None] - excitation).reshape(-1)
-    held = difference[rho0[:k, :k].reshape(-1) != 0]
-    kept = np.flatnonzero(np.isin(difference, held))
-    cols, rows = np.divmod(kept, k)
+    i, j = np.nonzero(rho0)
+    held = basis.excitation[i] - basis.excitation[j]
+    # rho[i, j] is the average of |j><i|: its operator's column is i
+    cols, rows = _sector(basis, top, lambda m_i, m_j: np.isin(m_i - m_j, held))
     gen = _generator(params, basis, rows, cols)
-    return top, kept, gen, _propagate(gen, rho0[cols, rows], t_grid)
+    return top, (cols, rows), gen, _propagate(gen, rho0[cols, rows], t_grid)
 
 
 def evolve(
@@ -211,8 +213,7 @@ def evolve(
     ``photon_cutoff`` raises :class:`ValueError`.  The trace is never
     renormalized: trace drift is a diagnostic, not something to hide.
     """
-    top, kept, _, live = _live_trajectory(rho0, params, basis, t_grid)
-    i, j = np.divmod(kept, basis.manifold_index[top][-1] + 1)
+    _, (i, j), _, live = _live_trajectory(rho0, params, basis, t_grid)
     out = np.zeros((live.shape[0], basis.dim, basis.dim), dtype=complex)
     out[:, i, j] = live
     return out
@@ -222,10 +223,13 @@ def evolve(
 # sector bases and blocks
 # ---------------------------------------------------------------------------
 
-def _pairs(rows: tuple[int, ...], cols: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Index pairs of the operators ``|r><c|``, in lexicographic (row, column)
-    order."""
-    return [(r, c) for r in rows for c in cols]
+def _sector(basis: TruncatedBasis, top: int, keep: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs, in lexicographic order, of the states on manifolds
+    ``0..top`` whose manifold numbers pass ``keep(m_first, m_second)``: the
+    ``(row, col)`` of ``|row><col|`` for a block, ``(i, j)`` of ``rho[i, j]``
+    for the live trajectory.  No other code maps manifolds to indices."""
+    m = basis.excitation[: basis.manifold_index[top][-1] + 1]
+    return np.nonzero(keep(m[:, None], m))
 
 
 def _require_complete(basis: TruncatedBasis, n: int, what: str) -> None:
@@ -242,7 +246,7 @@ def regression_block(
     """Coherence block for transitions from manifold ``m`` to ``m - 1``.
 
     The matrix generates ``dx/dt = M x`` for the averages of ``|r><c|``,
-    ``r`` in manifold ``m - 1`` and ``c`` in ``m``, ordered by :func:`_pairs`.
+    ``r`` in manifold ``m - 1`` and ``c`` in ``m``, ordered by :func:`_sector`.
     Only the decay-out part is kept: the cascade feed from manifold ``m + 1``
     lives in off-diagonal blocks of the full generator and does not move
     eigenvalues.  Block dimension is ``dim(m-1) * dim(m)``: 3, 12 and then 16
@@ -251,9 +255,8 @@ def regression_block(
     if m < 1:
         raise ValueError("regression block needs m >= 1")
     _require_complete(basis, m, "regression block")
-    _require_complete(basis, m - 1, "regression block")
-    pairs = _pairs(basis.manifold_index[m - 1], basis.manifold_index[m])
-    return _generator(params, basis, *np.array(pairs).T)
+    rows, cols = _sector(basis, m, lambda m_r, m_c: (m_r == m - 1) & (m_c == m))
+    return _generator(params, basis, rows, cols)
 
 
 def population_block(
@@ -262,37 +265,33 @@ def population_block(
     """Within-manifold block of manifold ``m`` (dimension ``dim(m)^2``).
 
     Operators ``|r><c|`` with ``r`` and ``c`` in manifold ``m``, ordered by
-    :func:`_pairs`; as in :func:`regression_block`, only the decay-out part is
+    :func:`_sector`; as in :func:`regression_block`, only the decay-out part is
     kept, since the feed from manifold ``m + 1`` does not move eigenvalues.
     """
     if m < 0:
         raise ValueError("population block needs m >= 0")
     _require_complete(basis, m, "population block")
-    pairs = _pairs(basis.manifold_index[m], basis.manifold_index[m])
-    return _generator(params, basis, *np.array(pairs).T)
+    rows, cols = _sector(basis, m, lambda m_r, m_c: (m_r == m) & (m_c == m))
+    return _generator(params, basis, rows, cols)
 
 
 def raising_coherence_generator(
-    params: SystemParams, basis: TruncatedBasis
-) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Generator on the full family of raising coherence operators.
+    params: SystemParams, basis: TruncatedBasis, top: int
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Generator on the raising coherence operators of manifolds ``0..top``.
 
     The operators ``|upper><lower|`` for every adjacent manifold pair span a
     closed space under the adjoint generator, including the cascade feed from
     one sector into the next.  This is the exact propagator space for
     two-time correlation functions: every raising emission operator is a
-    linear combination of this family.
+    linear combination of this family.  A state on manifolds ``0..top``
+    gives the sectors ``m > top`` no weight, so only ``m = 1..top`` are built.
 
-    Returns the ordered ``(row, column)`` index pairs (sector-major, sector
-    ``m`` holding ``|m><m-1|`` operators) and the matrix ``N`` with
-    ``dv/dtau = N v``.
+    Returns the ``(rows, cols)`` index arrays (sector-major, sector ``m``
+    holding ``|m><m-1|``) and the matrix ``N`` with ``dv/dtau = N v``.
     """
-    pairs = [
-        pair
-        for m in range(1, basis.max_manifold + 1)
-        for pair in _pairs(basis.manifold_index[m], basis.manifold_index[m - 1])
-    ]
-    return pairs, _generator(params, basis, *np.array(pairs).T)
+    rows, cols = _sector(basis, top, lambda m_r, m_c: m_r == m_c + 1)
+    return (rows, cols), _generator(params, basis, rows, cols)
 
 
 def line_values(block: np.ndarray) -> np.ndarray:

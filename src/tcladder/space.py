@@ -116,17 +116,22 @@ class TruncatedBasis:
     """Ordered basis with ``photon_cutoff + 1`` photon sectors (4 states each).
 
     ``manifold_index`` maps the excitation number ``n`` to the (contiguous)
-    indices of the manifold's states.  ``operators`` holds the bare operators
-    over this basis, built once with the basis.
+    indices of the manifold's states and ``excitation`` is the read-only
+    array of each state's excitation number.  ``operators`` holds the bare
+    operators over this basis, built once with the basis.
     """
 
     photon_cutoff: int
     states: tuple[BasisState, ...]
     manifold_index: dict[int, tuple[int, ...]] = field(repr=False)
     _lookup: dict[BasisState, int] = field(repr=False)
+    excitation: np.ndarray = field(init=False, compare=False, repr=False)
     operators: BareOperators = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        excitation = np.array([state.excitation for state in self.states])
+        excitation.setflags(write=False)
+        object.__setattr__(self, "excitation", excitation)
         object.__setattr__(self, "operators", bare_operators(self))
 
     @property
@@ -144,9 +149,6 @@ class TruncatedBasis:
     def manifold_slice(self, n: int) -> slice:
         idx = self.manifold_index[n]
         return slice(idx[0], idx[-1] + 1)
-
-    def manifold_dim(self, n: int) -> int:
-        return len(self.manifold_index[n])
 
     def is_complete_manifold(self, n: int) -> bool:
         """True when no state of manifold ``n`` was removed by the cutoff."""
@@ -208,13 +210,12 @@ def bare_operators(basis: TruncatedBasis) -> BareOperators:
     a = np.zeros((dim, dim), dtype=complex)
     sigma1 = np.zeros((dim, dim), dtype=complex)
     sigma2 = np.zeros((dim, dim), dtype=complex)
-    number = np.zeros((dim, dim), dtype=complex)
+    number = np.diag(basis.excitation.astype(complex))
 
     s1_m, s2_m = _matter_lowering_dicke()
     labels = list(DickeLabel)
 
     for j, state in enumerate(basis.states):
-        number[j, j] = state.excitation
         if state.photons >= 1:
             i = basis.index_of(state.photons - 1, state.matter)
             a[i, j] = np.sqrt(state.photons)

@@ -28,6 +28,8 @@ The two kernel factors are running products of ``e^{rate h}`` and of
 The ``rho`` trajectory, on the symmetry sector that ``rho0`` occupies
 (:func:`tcladder.liouvillian._live_trajectory`), and the read-out row on
 that grid are propagated by doubling (:func:`tcladder.liouvillian._propagate`).
+The raising family covers the rungs ``rho0`` reaches and reads its initial
+values off those entries, so no array here grows with ``photon_cutoff``.
 Refinement halves the step: the generators, the raising family and its
 read-out coefficients are built once per :func:`physical_spectrum` call, and
 each pass keeps the previous pass's points as its even points and adds the
@@ -130,30 +132,26 @@ def _operator_matrix(tag: str, basis: TruncatedBasis) -> np.ndarray:
 def _raising_family(
     operator: str,
     top: int,
+    entries: tuple[np.ndarray, np.ndarray],
     params: SystemParams,
     basis: TruncatedBasis,
     rotating: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raising-family generator, the map ``lift`` from ``vec(rho)`` to the
-    family's initial values (``v = lift @ vec(rho)``) and the coefficients
-    that read ``O+`` back out of the family.  ``rho`` lives on the leading
-    ``k`` states, manifolds ``0..top``, so ``vec(rho)`` has ``k * k`` entries
-    and the sectors ``m > top`` never hold weight and are left out."""
-    k = basis.manifold_index[top][-1] + 1
-    pairs, gen = raising_coherence_generator(params, basis)
-    n = sum(basis.manifold_dim(m) * basis.manifold_dim(m - 1) for m in range(1, top + 1))
-    gen = gen[:n, :n]
+    """Raising-family generator on manifolds ``0..top``, the map ``lift``
+    from the entries ``rho[i, j]``, ``(i, j) = entries``, to the family's
+    initial values (``v = lift @ rho[i, j]``) and the coefficients that read
+    ``O+`` back out of the family."""
+    (rows, cols), gen = raising_coherence_generator(params, basis, top)
     if rotating:
-        gen = gen - 1j * params.omega0 * np.eye(n)
-    op = _operator_matrix(operator, basis)[:k, :k]
-    rows, cols = np.array(pairs[:n], dtype=int).reshape(-1, 2).T
+        gen = gen - 1j * params.omega0 * np.eye(rows.size)
+    op = _operator_matrix(operator, basis)
+    i, j = entries
 
-    # initial values <W_f O> = (O rho)[col_f, row_f] = sum_s O[col_f, s] rho[s, row_f]
-    lift = np.zeros((n, k, k), dtype=complex)
-    lift[np.arange(n), :, rows] = op[cols]
+    # initial values <W_f O> = (O rho)[col_f, row_f] = sum_i O[col_f, i] rho[i, row_f]
+    lift = np.where(j == rows[:, None], op[cols[:, None], i], 0)
     # O+ expanded over the raising family: coefficients conj(O[col, row])
     coeff = op[cols, rows].conj()
-    return gen, lift.reshape(n, k * k), coeff
+    return gen, lift, coeff
 
 
 def two_time_correlation(
@@ -171,9 +169,9 @@ def two_time_correlation(
     read-out row ``coeff . expm(N tau)``, propagated through ``N.T``, is
     applied to the initial values of every t.
     """
-    top, kept, _, traj = _live_trajectory(rho0, params, basis, t_grid)
-    gen, lift, coeff = _raising_family(operator, top, params, basis, rotating=False)
-    v = lift[:, kept] @ traj.T
+    top, entries, _, traj = _live_trajectory(rho0, params, basis, t_grid)
+    gen, lift, coeff = _raising_family(operator, top, entries, params, basis, rotating=False)
+    v = lift @ traj.T
     return (_propagate(gen.T, coeff, tau_grid) @ v).T
 
 
@@ -271,6 +269,8 @@ def physical_spectrum(
     """
     if kernel not in ("verbatim", "decaying"):
         raise ValueError(f"kernel must be 'verbatim' or 'decaying', got {kernel!r}")
+    if kappa is None and default_kappa(params) <= 0:
+        raise ValueError("kappa must be given: its default 0.1 g is 0 at g = 0")
     kappa = default_kappa(params) if kappa is None else float(kappa)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -284,10 +284,9 @@ def physical_spectrum(
     rate = sign * kappa - 1j * (omega_grid - params.omega0)
 
     grid = np.linspace(0.0, collection_time, n_time + 1)
-    top, kept, live, traj = _live_trajectory(rho0, params, basis, grid)
+    top, entries, live, traj = _live_trajectory(rho0, params, basis, grid)
     # carrier factored out
-    family, lift, coeff = _raising_family(operator, top, params, basis, rotating=True)
-    lift = lift[:, kept]
+    family, lift, coeff = _raising_family(operator, top, entries, params, basis, rotating=True)
     readout = _propagate(family.T, coeff, grid)
     h = collection_time / n_time
     values = _spectrum_pass(readout, lift @ traj.T, h, kappa, rate)

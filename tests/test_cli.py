@@ -313,7 +313,7 @@ class TestCriterionCommand:
 class TestNumericalFailure:
     def test_cross_check_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # a wrong discriminant gives roots that fail the companion cubic
-        monkeypatch.setattr(ea, "discriminant", lambda n, params: 0.3 + 0.0j)
+        monkeypatch.setattr(ea, "_discriminant", lambda c, g, rabi: 0.3 + 0.0j)
         code = main(["eigen", "--set", "sweep.num=2", "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
@@ -349,6 +349,19 @@ class TestNumericalFailure:
         assert err.startswith("tcladder: input out of floating-point range: ")
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())  # no nan or inf written
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("criterion", "tcladder: this quantity is scaled by g and needs g > 0\n"),
+            ("spectrum", "tcladder: kappa must be given: its default 0.1 g is 0 at g = 0\n"),
+        ],
+    )
+    def test_zero_coupling_names_its_cause(self, tmp_path, capsys, command, message):
+        argv = [command, "--set", 'units="absolute"', "--set", "params.g=0"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_FAIL
+        assert capsys.readouterr().err == message
+        assert not list(tmp_path.iterdir())
 
     def test_lossless_uncoupled_spectrum_needs_collection_time(self, tmp_path, capsys):
         # no decay rate and no coupling leave no default collection time
@@ -640,6 +653,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "tcladder" in proc.stdout
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_closed_forms_do_not_load_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from tcladder.cli import main\n"
+            f"assert main(['eigen', '--set', 'sweep.num=3', '--out', {str(tmp_path)!r}]) == 0\n"
+            f"assert main(['criterion', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_subprocess_usage_error_code(self):
         proc = subprocess.run(

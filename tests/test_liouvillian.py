@@ -221,11 +221,12 @@ class TestSymmetrySectors:
         basis = build_basis(cutoff)
         rho0 = initial_density_matrix({"initial_state": spec}, basis)
         t = _SECTOR_GRID
-        top, kept, _, _ = liouvillian._live_trajectory(rho0, _SECTOR_PARAMS, basis, t)
-        assert kept.size == size
+        top, (i, j), _, _ = liouvillian._live_trajectory(rho0, _SECTOR_PARAMS, basis, t)
+        assert i.size == size
 
         # vec index of rho[i, j] in the dense generator is i * dim + j
         k = basis.manifold_index[top][-1] + 1
+        kept = i * k + j
         i, j = np.divmod(np.arange(k * k), k)
         block = i * basis.dim + j
         in_sector = np.isin(np.arange(k * k), kept)
@@ -319,7 +320,7 @@ class TestPropagate:
             calls.append(a)
             return expm(a)
 
-        monkeypatch.setattr(liouvillian, "expm", counted)
+        monkeypatch.setattr("scipy.linalg.expm", counted)
         grid = np.array([0.0, 0.05, 0.3, 1.75, 4.0, 12.0])
         got = liouvillian._propagate(gen, x0, grid)
         assert len(calls) == grid.size - 1
@@ -423,13 +424,12 @@ class TestBlocks:
                 assert np.min(np.abs(gen_eigs - mu)) < 1e-8
 
     def test_raising_family_conjugate_to_lowering_blocks(self, basis2, params):
-        pairs, gen = raising_coherence_generator(params, basis2)
-        # sector m=1 occupies the first dim(L1)*dim(L0) slots
-        n1 = basis2.manifold_dim(1) * basis2.manifold_dim(0)
-        sub = gen[:n1, :n1]
+        # up to manifold 1 the family is sector m=1 alone
+        _, gen = raising_coherence_generator(params, basis2, 1)
+        assert gen.shape == (3, 3)
         lowering = regression_block(params, basis2, 1)
         assert assignment_distance(
-            np.linalg.eigvals(sub), np.linalg.eigvals(lowering).conj()
+            np.linalg.eigvals(gen), np.linalg.eigvals(lowering).conj()
         ) < 1e-10
 
     @pytest.mark.parametrize("cutoff", [2, 3])
@@ -450,18 +450,24 @@ class TestBlocks:
             idx = [c * basis.dim + r for r, c in pairs]
             return gen[np.ix_(idx, idx)]
 
+        # the (row, col) pairs of each block's operators |r><c|, in order
         index = basis.manifold_index
         blocks = [
-            (regression_block(params, basis, m), liouvillian._pairs(index[m - 1], index[m]))
+            (regression_block(params, basis, m),
+             [(r, c) for r in index[m - 1] for c in index[m]])
             for m in range(1, cutoff + 1)
         ]
         blocks += [
-            (population_block(params, basis, m), liouvillian._pairs(index[m], index[m]))
+            (population_block(params, basis, m), [(r, c) for r in index[m] for c in index[m]])
             for m in range(cutoff + 1)
         ]
         for block, pairs in blocks:
             assert np.array_equal(block, sliced(pairs))
-        pairs, raising = raising_coherence_generator(params, basis)
+        # the raising family is sector-major, |m><m-1| for m = 1 .. top
+        top = basis.max_manifold
+        pairs = [(r, c) for m in range(1, top + 1) for r in index[m] for c in index[m - 1]]
+        (rows, cols), raising = raising_coherence_generator(params, basis, top)
+        assert list(zip(rows.tolist(), cols.tolist())) == pairs
         assert np.array_equal(raising, sliced(pairs))
 
     def test_line_convention_roundtrip(self, basis2, params):

@@ -30,7 +30,7 @@ class TestBasisCounting:
     def test_cutoff_two(self):
         basis = build_basis(2)
         assert basis.dim == 12
-        dims = {n: basis.manifold_dim(n) for n in basis.manifold_index}
+        dims = {n: len(index) for n, index in basis.manifold_index.items()}
         assert dims == {0: 1, 1: 3, 2: 4, 3: 3, 4: 1}
         assert [basis.is_complete_manifold(n) for n in range(5)] == [
             True, True, True, False, False,
@@ -39,7 +39,7 @@ class TestBasisCounting:
     def test_cutoff_five(self):
         basis = build_basis(5)
         assert basis.dim == 24
-        assert all(basis.manifold_dim(n) == 4 for n in range(2, 6))
+        assert all(len(basis.manifold_index[n]) == 4 for n in range(2, 6))
 
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
@@ -134,7 +134,7 @@ class TestProjectors:
         rebuilt = np.zeros((basis3.dim, basis3.dim), complex)
         for n in basis3.manifold_index:
             block = basis3.manifold_slice(n)
-            rebuilt[block, block] = n * np.eye(basis3.manifold_dim(n))
+            rebuilt[block, block] = n * np.eye(len(basis3.manifold_index[n]))
         assert np.array_equal(rebuilt, ops.number)
 
 

@@ -331,10 +331,9 @@ def _per_tau_pass(operator, rho0, params, basis, kappa, collection_time, omega_g
     grid = np.linspace(0.0, collection_time, n_time + 1)
     h = collection_time / n_time
     traj = evolve(rho0, params, basis, grid)
-    pairs, gen = raising_coherence_generator(params, basis)
-    gen = gen - 1j * params.omega0 * np.eye(len(pairs))
+    (rows, cols), gen = raising_coherence_generator(params, basis, basis.max_manifold)
+    gen = gen - 1j * params.omega0 * np.eye(rows.size)
     op = getattr(basis.operators, operator)
-    rows, cols = np.array(pairs).T
     v = np.stack([(op @ rho)[cols, rows] for rho in traj], axis=1)
     coeff = op[cols, rows].conj()
     step = expm(gen * h)
@@ -358,10 +357,12 @@ def _pass_inputs(operator, rho0, params, basis, kappa, collection_time, omega_gr
     """The arguments of ``_spectrum_pass``, propagated afresh on the
     ``n_time`` grid by the package's own helpers."""
     grid = np.linspace(0.0, collection_time, n_time + 1)
-    top, kept, _, traj = liouvillian._live_trajectory(rho0, params, basis, grid)
-    family, lift, coeff = spectrum._raising_family(operator, top, params, basis, rotating=True)
+    top, entries, _, traj = liouvillian._live_trajectory(rho0, params, basis, grid)
+    family, lift, coeff = spectrum._raising_family(
+        operator, top, entries, params, basis, rotating=True
+    )
     readout = liouvillian._propagate(family.T, coeff, grid)
-    v = lift[:, kept] @ traj.T
+    v = lift @ traj.T
     rate = sign * kappa - 1j * (omega_grid - params.omega0)
     return readout, v, collection_time / n_time, kappa, rate
 
@@ -491,3 +492,27 @@ class TestNoFullGenerator:
             omega_grid=np.linspace(8.0, 12.0, 41), n_time=32, max_refinements=1,
             target_delta=1.0,
         )
+
+    def test_work_does_not_grow_with_cutoff(self, monkeypatch, params):
+        # both-excited stays on manifolds 0..2 at every cutoff: the family is
+        # sectors m = 1, 2 (3 + 12 operators) and the values are bitwise equal
+        sizes = []
+        family = spectrum.raising_coherence_generator
+
+        def recorded(*args):
+            out = family(*args)
+            sizes.append(len(out[1]))
+            return out
+
+        monkeypatch.setattr(spectrum, "raising_coherence_generator", recorded)
+        values = []
+        for cutoff in (2, 3, 8, 30):
+            basis = build_basis(cutoff)
+            values.append(physical_spectrum(
+                "a", _pure(basis, 0, DickeLabel.T_PLUS), params, basis, kappa=0.1,
+                collection_time=20.0, omega_grid=np.linspace(8.0, 12.0, 41), n_time=32,
+                max_refinements=1,
+            ).values)
+        assert sizes == [15] * 4
+        for other in values[1:]:
+            assert np.array_equal(other, values[0])
