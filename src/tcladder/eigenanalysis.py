@@ -23,18 +23,19 @@ Branch conventions, fixed once:
   machinery applies from the second manifold up.
 
 The closed forms from :func:`complex_rabi` to :func:`population_eigenvalues`
-broadcast over :class:`~tcladder.space.SystemParams` whose fields are arrays,
-so a whole sweep is one call; a quantity that does not depend on the swept
-field keeps the shape of the fields it does depend on, except that the
-eigenenergies and block eigenvalues of a manifold always carry the sweep's
-full shape.  The strong-coupling criterion, its boundary and the reference
-expansions stay scalar.
+and the expansion :func:`perturbative_splitting` broadcast over
+:class:`~tcladder.space.SystemParams` whose fields are arrays, so a whole
+sweep is one call; a quantity that does not depend on the swept field keeps
+the shape of the fields it does depend on, except that the eigenenergies
+and block eigenvalues of a manifold always carry the sweep's full shape.
+The strong-coupling criterion, its boundary and the single-emitter reference
+stay scalar.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,8 +230,7 @@ def complex_eigenenergies(n: int, params: SystemParams) -> np.ndarray:
     if n < 0:
         raise ValueError("manifold index must be nonnegative")
     if n == 0:
-        shape = np.broadcast_shapes(*(np.shape(getattr(params, f.name)) for f in fields(params)))
-        return np.zeros(shape + (1,), dtype=complex)
+        return np.zeros(params.shape + (1,), dtype=complex)
     if n == 1:
         g = params.g
         zeta = params.gamma_minus + 0.5j * params.delta
@@ -343,7 +343,8 @@ def sc_contour(y: float) -> float:
 
 
 def perturbative_splitting(n: int, params: SystemParams) -> np.ndarray:
-    """Second-order small-dissipation expansion of the splitting values.
+    """Second-order small-dissipation expansion of the splitting values,
+    shape ``(..., 3)`` over the sweep points of ``params``.
 
     Valid for ``n >= 2`` at zero detuning with ``|gamma_-| << g``; the error
     against :func:`splitting_roots` is third order in ``gamma_-/g``.  Ordered
@@ -351,7 +352,7 @@ def perturbative_splitting(n: int, params: SystemParams) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("expansion applies for n >= 2")
-    if params.delta != 0.0:
+    if np.not_equal(params.delta, 0.0).any():
         raise ValueError("expansion is stated at delta = 0")
     _require_coupling(params)
     g = params.g
@@ -361,9 +362,8 @@ def perturbative_splitting(n: int, params: SystemParams) -> np.ndarray:
     second = g * (16.0 * n * (n - 1) + 1.0) / (2.0**1.5 * (2.0 * n - 1.0) ** 2.5) * u * u
     im_outer = -1j * gm / (2.0 * n - 1.0)
     im_middle = 2j * gm / (2.0 * n - 1.0)
-    return np.array(
-        [lead - second + im_outer, im_middle, -lead + second + im_outer]
-    )
+    branches = np.broadcast_arrays(lead - second + im_outer, im_middle, -lead + second + im_outer)
+    return np.stack(branches, axis=-1)
 
 
 def jc_reference(n: int, params: SystemParams) -> JCReference:

@@ -17,13 +17,15 @@ an index slice of it: the average of the basis operator ``|row><col|`` is
 ``tr(rho |row><col|) = rho[col, row]``, which sits at vec index
 ``col * dim + row``, so the block on the index arrays ``(rows, cols)`` is
 ``build_generator(...)[np.ix_(idx, idx)]`` with ``idx = cols * dim + rows``,
-computed on those indices directly.  One rule, :func:`_sector`, picks the
-operators of every block, of the raising family and of propagation: H
-conserves the excitation number and every decay lowers both sides of
-``rho`` together, so :func:`evolve` builds the generator only on the
-manifolds the initial state touches and, within them, on the entries
-``rho[i, j]`` whose manifold difference ``m_i - m_j`` the initial state
-holds, and propagates it with exact matrix exponentials.
+computed on those indices directly.  Array-valued params give a
+``(..., n, n)`` stack from the same assembly, one matrix per sweep point, so
+a block covers a whole sweep in one call; propagation needs one point.  One
+rule, :func:`_sector`, picks the operators of every block, of the raising
+family and of propagation: H conserves the excitation number and every decay
+lowers both sides of ``rho`` together, so :func:`evolve` builds the
+generator only on the manifolds the initial state touches and, within them,
+on the entries ``rho[i, j]`` whose manifold difference ``m_i - m_j`` the
+initial state holds, and propagates it with exact matrix exponentials.
 
 Eigenvalue convention: blocks generate real-time dynamics ``dx/dt = M x``.
 Multiplying an eigenvalue of ``M`` by ``1j`` (:func:`line_values`) yields the
@@ -56,14 +58,14 @@ def _generator(
     rows: np.ndarray,
     cols: np.ndarray,
 ) -> np.ndarray:
-    """Generator restricted to the vec indices ``cols * dim + rows``.
+    """Generator on the vec indices ``cols * dim + rows``, shape ``(..., n, n)``.
 
-    Entry ``[k, p]`` is the coefficient in ``d<X_k>/dt = sum_p M[k, p] <X_p>``
+    Entry ``[..., k, p]`` is the coefficient in ``d<X_k>/dt = sum_p M[k, p] <X_p>``
     for the basis operators ``X_k = |rows[k]><cols[k]|``; coefficients into
     indices outside the list (feed into other sectors) are dropped.  Each
     ``kron(A, B)`` term restricted to these indices is the elementwise product
     ``A[c, c'] * B[r, r']``, so every entry is bitwise the one the full
-    Kronecker-product assembly would hold.
+    Kronecker-product assembly would hold, and every lane the one of its point.
     """
     from .hamiltonian import build_hamiltonian
 
@@ -71,19 +73,21 @@ def _generator(
     eye = np.eye(basis.dim)
 
     def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a.take(cols, 0).take(cols, 1) * b.take(rows, 0).take(rows, 1)
+        return a.take(cols, -2).take(cols, -1) * b.take(rows, -2).take(rows, -1)
 
-    gen = 1j * (kron(eye, h.T) - kron(h, eye))
+    # the sweep's full shape: H need not depend on every swept field
+    gen = np.empty(params.shape + (rows.size, rows.size), dtype=complex)
+    np.multiply(1j, kron(eye, np.swapaxes(h, -2, -1)) - kron(h, eye), out=gen)
     ops = basis.operators
     for rate, op in (
         (params.gamma_a, ops.a),
         (params.gamma_sigma, ops.sigma1),
         (params.gamma_sigma, ops.sigma2),
     ):
-        if rate == 0.0:
+        if np.count_nonzero(rate) == 0:  # in every lane
             continue
         od_o = op.conj().T @ op
-        gen += (rate / 2.0) * (
+        gen += np.asarray(rate / 2.0)[..., None, None] * (
             2.0 * kron(op, op.conj())
             - kron(od_o, eye)
             - kron(eye, od_o.T)
@@ -92,7 +96,7 @@ def _generator(
 
 
 def build_generator(params: SystemParams, basis: TruncatedBasis) -> np.ndarray:
-    """Full generator on vectorized density matrices (dim^2 x dim^2).
+    """Full generator on vectorized density matrices, ``(..., dim^2, dim^2)``.
 
     ``d vec(rho)/dt = G vec(rho)``.  This matrix is the brute-force reference
     against which every closed form in :mod:`tcladder.eigenanalysis` is
@@ -185,8 +189,10 @@ def _live_trajectory(
     it is returned so that a caller can refine the trajectory
     (:func:`_halve_step`).  The photon truncation is exact only while
     ``M <= photon_cutoff``; any other ``rho0`` is refused before the
-    generator is built.
+    generator is built, and so are params that hold a sweep.
     """
+    if params.shape != ():
+        raise ValueError(f"propagation needs one parameter point, got shape {params.shape}")
     top = top_manifold(rho0, basis)
     if top > basis.photon_cutoff:
         raise ValueError(
@@ -245,12 +251,12 @@ def regression_block(
 ) -> np.ndarray:
     """Coherence block for transitions from manifold ``m`` to ``m - 1``.
 
-    The matrix generates ``dx/dt = M x`` for the averages of ``|r><c|``,
-    ``r`` in manifold ``m - 1`` and ``c`` in ``m``, ordered by :func:`_sector`.
-    Only the decay-out part is kept: the cascade feed from manifold ``m + 1``
-    lives in off-diagonal blocks of the full generator and does not move
-    eigenvalues.  Block dimension is ``dim(m-1) * dim(m)``: 3, 12 and then 16
-    for complete manifolds.  Both manifolds must be untruncated.
+    The ``(..., n, n)`` matrix generates ``dx/dt = M x`` for the averages of
+    ``|r><c|``, ``r`` in manifold ``m - 1`` and ``c`` in ``m``, ordered by
+    :func:`_sector`.  Only the decay-out part is kept: the cascade feed from
+    manifold ``m + 1`` lives in off-diagonal blocks of the full generator and
+    does not move eigenvalues.  Block dimension is ``dim(m-1) * dim(m)``: 3,
+    12 and then 16 for complete manifolds.  Both manifolds must be untruncated.
     """
     if m < 1:
         raise ValueError("regression block needs m >= 1")
@@ -262,7 +268,7 @@ def regression_block(
 def population_block(
     params: SystemParams, basis: TruncatedBasis, m: int
 ) -> np.ndarray:
-    """Within-manifold block of manifold ``m`` (dimension ``dim(m)^2``).
+    """Within-manifold block of manifold ``m``, ``(..., dim(m)^2, dim(m)^2)``.
 
     Operators ``|r><c|`` with ``r`` and ``c`` in manifold ``m``, ordered by
     :func:`_sector`; as in :func:`regression_block`, only the decay-out part is
@@ -288,7 +294,8 @@ def raising_coherence_generator(
     gives the sectors ``m > top`` no weight, so only ``m = 1..top`` are built.
 
     Returns the ``(rows, cols)`` index arrays (sector-major, sector ``m``
-    holding ``|m><m-1|``) and the matrix ``N`` with ``dv/dtau = N v``.
+    holding ``|m><m-1|``) and the matrix ``N`` with ``dv/dtau = N v``, a
+    ``(..., n, n)`` stack over a sweep.
     """
     rows, cols = _sector(basis, top, lambda m_r, m_c: m_r == m_c + 1)
     return (rows, cols), _generator(params, basis, rows, cols)
@@ -298,7 +305,7 @@ def line_values(block: np.ndarray) -> np.ndarray:
     """Complex line values of a block: ``1j`` times its eigenvalues.
 
     The real part is the emission position and the imaginary part minus half
-    the width.  Used everywhere a block spectrum is compared with closed-form
-    eigenenergies.
+    the width.  Used everywhere a block spectrum, or a stack of them, is
+    compared with closed-form eigenenergies.
     """
     return 1j * np.linalg.eigvals(block)

@@ -71,9 +71,10 @@ class SystemParams:
     ``omega0 - delta``.  ``gamma_a`` is the photon escape rate and
     ``gamma_sigma`` the spontaneous-emission rate of each emitter.
 
-    A field may also be an array: the params then stand for a whole sweep,
-    validated at once, and the closed forms of
-    :mod:`tcladder.eigenanalysis` broadcast over the fields.
+    A field may also be an array: the params then stand for a whole sweep of
+    shape :attr:`shape`, validated at once.  The closed forms of
+    :mod:`tcladder.eigenanalysis`, the Hamiltonian, the generator and its
+    blocks broadcast over the fields; propagation and spectra need one point.
     """
 
     omega0: float
@@ -95,6 +96,11 @@ class SystemParams:
             raise ValueError(f"coupling g must be nonnegative, got {_first(self.g, negative)!r}")
         if np.less(self.gamma_a, 0).any() or np.less(self.gamma_sigma, 0).any():
             raise ValueError("decay rates must be nonnegative")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The broadcast shape of the five fields: ``()`` for one point."""
+        return np.broadcast(self.omega0, self.delta, self.g, self.gamma_a, self.gamma_sigma).shape
 
     @property
     def gamma_plus(self) -> float:

@@ -269,6 +269,8 @@ def physical_spectrum(
     """
     if kernel not in ("verbatim", "decaying"):
         raise ValueError(f"kernel must be 'verbatim' or 'decaying', got {kernel!r}")
+    if params.shape != ():
+        raise ValueError(f"a spectrum needs one parameter point, got shape {params.shape}")
     if kappa is None and default_kappa(params) <= 0:
         raise ValueError("kappa must be given: its default 0.1 g is 0 at g = 0")
     kappa = default_kappa(params) if kappa is None else float(kappa)
@@ -318,20 +320,20 @@ def physical_spectrum(
     )
 
 
-def peak_table(
-    params: SystemParams, m_max: int, position_tol: float | None = None
-) -> PeakTable:
+def peak_table(params: SystemParams, m_max: int) -> PeakTable:
     """Analytic line list for cascade blocks ``m = 1 .. m_max``.
 
     Each row keeps its branch pair; ``multiplicity`` counts how many rows of
     the whole table share the row's position (degenerate lines merge in a
     measured spectrum).  Rows touching a singlet branch on either side are
-    flagged.  Sorted by position.
+    flagged.  Sorted by position.  Positions closer than ``1e-9`` times the
+    largest of ``|omega0|``, ``g`` and 1 count as one.
     """
     if m_max < 1:
         raise ValueError("need m_max >= 1")
-    if position_tol is None:
-        position_tol = 1e-9 * max(abs(params.omega0), params.g, 1.0)
+    if params.shape != ():
+        raise ValueError(f"a peak table needs one parameter point, got shape {params.shape}")
+    position_tol = 1e-9 * max(abs(params.omega0), params.g, 1.0)
 
     levels = [complex_eigenenergies(n, params) for n in range(m_max + 1)]
     raw = [

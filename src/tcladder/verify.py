@@ -13,7 +13,7 @@ from __future__ import annotations
 import fnmatch
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -68,27 +68,11 @@ def assignment_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(cost[rows, cols].max())
 
 
-def _random_parameter_grid(n_points: int, seed: int = 20240601) -> list[SystemParams]:
-    rng = np.random.default_rng(seed)
-    deltas = [0.0, 0.5, -0.5]
-    return [
-        SystemParams(
-            omega0=10.0,
-            delta=deltas[k % 3],
-            g=1.0,
-            gamma_a=float(rng.uniform(0.0, 4.0)),
-            gamma_sigma=float(rng.uniform(0.0, 4.0)),
-        )
-        for k in range(n_points)
-    ]
-
-
-def _stacked(points: list[SystemParams]) -> SystemParams:
-    """The points as one array-valued params, so a closed form covers them
-    all in one call."""
-    return SystemParams(
-        **{f.name: np.array([getattr(p, f.name) for p in points]) for f in fields(SystemParams)}
-    )
+def _random_parameter_grid(n_points: int) -> SystemParams:
+    """One sweep of random points: delta cycles 0, 0.5, -0.5, rates in [0, 4)."""
+    gamma_a, gamma_sigma = np.random.default_rng(20240601).uniform(0.0, 4.0, (n_points, 2)).T
+    delta = np.resize([0.0, 0.5, -0.5], n_points)
+    return SystemParams(omega0=10.0, delta=delta, g=1.0, gamma_a=gamma_a, gamma_sigma=gamma_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +104,21 @@ def _oracle_worst(
     block_of,
     lines_of,
     expected_dims: dict[int, int],
-    points: list[SystemParams],
-    closed_form_points: list[SystemParams],
+    points: SystemParams,
+    closed_form_points: SystemParams,
 ) -> tuple[float, str]:
-    """Worst distance between the spectra of the blocks ``block_of(params,
-    basis, m)`` at ``points`` and the closed forms ``lines_of(m, .)`` at the
-    matching ``closed_form_points``, over the ``m`` of ``expected_dims``; a
-    block whose size is not the expected one reads infinite."""
+    """Worst distance between the spectra of the blocks ``block_of(points,
+    basis, m)`` and the closed forms ``lines_of(m, closed_form_points)``,
+    lane by lane over the sweep, for the ``m`` of ``expected_dims``; a block
+    whose size is not the expected one reads infinite."""
     basis = build_basis(3)
-    stacked = _stacked(closed_form_points)
-    analytic = {m: lines_of(m, stacked) for m in expected_dims}
     worst = 0.0
-    for k, params in enumerate(points):
-        for m, dim in expected_dims.items():
-            block = block_of(params, basis, m)
-            if len(block) != dim:
-                return math.inf, f"block m={m} has dim {len(block)}"
-            worst = max(worst, assignment_distance(lv.line_values(block), analytic[m][k]))
+    for m, dim in expected_dims.items():
+        blocks = block_of(points, basis, m)
+        if blocks.shape[-1] != dim:
+            return math.inf, f"block m={m} has dim {blocks.shape[-1]}"
+        for numeric, analytic in zip(lv.line_values(blocks), lines_of(m, closed_form_points)):
+            worst = max(worst, assignment_distance(numeric, analytic))
     return worst, ""
 
 
@@ -237,16 +219,11 @@ def check_splitting_limit() -> CheckResult:
 def check_perturbative_order() -> CheckResult:
     """Expansion error scales as the cube of gamma_-/g."""
     us = np.logspace(-3, -1, 9)
+    params = SystemParams(omega0=10.0, delta=0.0, g=1.0, gamma_a=4.0 * us, gamma_sigma=0.0)
     worst_dev = 0.0
     for n in (2, 3):
-        errs = []
-        for u in us:
-            params = SystemParams(
-                omega0=10.0, delta=0.0, g=1.0, gamma_a=4.0 * u, gamma_sigma=0.0
-            )
-            exact = ea.splitting_roots(n, params)
-            approx = ea.perturbative_splitting(n, params)
-            errs.append(np.max(np.abs(exact - approx)))
+        exact = ea.splitting_roots(n, params)
+        errs = np.max(np.abs(exact - ea.perturbative_splitting(n, params)), axis=-1)
         slope = np.polyfit(np.log10(us), np.log10(errs), 1)[0]
         worst_dev = max(worst_dev, abs(slope - 3.0))
     return CheckResult(
@@ -450,7 +427,7 @@ def check_negative_control() -> CheckResult:
         ea.transition_eigenvalues,
         {1: 3, 2: 12},
         points,
-        [replace(p, g=1.01 * p.g) for p in points],
+        replace(points, g=1.01 * points.g),
     )
     return CheckResult(
         "c12-negative-control",

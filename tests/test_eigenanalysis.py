@@ -347,6 +347,20 @@ class TestPerturbativeSplitting:
         ratio = err(0.02) / err(0.01)
         assert 7.0 < ratio < 9.0
 
+    def test_sweep_matches_point_calls(self):
+        lanes = [
+            make_params(gamma_a=ga, gamma_sigma=gs, g=g)
+            for ga, gs, g in ((0.0, 0.0, 1.0), (0.04, 0.01, 1.0), (0.4, 0.1, 2.0), (0.1, 0.3, 0.5))
+        ]
+        sweep = stack(lanes)
+        for n in (2, 3):
+            swept = perturbative_splitting(n, sweep)
+            assert swept.shape == (len(lanes), 3)
+            for k, p in enumerate(lanes):
+                assert np.max(np.abs(swept[k] - perturbative_splitting(n, p))) <= 1e-15 * p.g
+        grid = make_params(gamma_a=np.array([[0.0], [0.1]]), g=np.array([1.0, 2.0, 3.0]))
+        assert perturbative_splitting(2, grid).shape == (2, 3, 3)
+
 
 class TestWeakCouplingCollapse:
     def test_positions_collapse_far_above_boundary(self):

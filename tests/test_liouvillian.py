@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -473,3 +474,71 @@ class TestBlocks:
     def test_line_convention_roundtrip(self, basis2, params):
         block = regression_block(params, basis2, 1)
         assert np.array_equal(line_values(block), 1j * np.linalg.eigvals(block))
+
+
+def _points(sweep):
+    """The lanes of a sweep, each as scalar params, in C order."""
+    names = [f.name for f in fields(SystemParams)]
+    values = [np.broadcast_to(getattr(sweep, name), sweep.shape) for name in names]
+    return [
+        SystemParams(**{name: float(v[index]) for name, v in zip(names, values)})
+        for index in np.ndindex(sweep.shape)
+    ]
+
+
+_SWEEPS = {
+    # H does not depend on the rates, so it stays one matrix
+    "gamma_a only": SystemParams(
+        omega0=10.0, delta=0.3, g=1.0, gamma_a=np.array([0.0, 0.4, 2.5]), gamma_sigma=0.2
+    ),
+    # lanes at gamma_sigma = 0 next to lanes where the emitters decay
+    "mixed gamma_sigma": SystemParams(
+        omega0=10.0,
+        delta=np.array([0.0, 0.5, -0.5, 0.0]),
+        g=1.0,
+        gamma_a=np.array([0.3, 1.1, 0.0, 2.0]),
+        gamma_sigma=np.array([0.0, 0.7, 0.0, 1.9]),
+    ),
+    "two axes": SystemParams(
+        omega0=np.array([[9.0], [10.0]]),
+        delta=0.0,
+        g=np.array([0.5, 1.0, 1.5]),
+        gamma_a=0.4,
+        gamma_sigma=np.array([[0.0], [0.3]]),
+    ),
+    "0-d arrays": SystemParams(
+        *(np.array(x) for x in (10.0, 0.5, 1.0, 0.3, 0.0))
+    ),
+}
+
+_ASSEMBLIES = {
+    "build_generator": build_generator,
+    "regression_block": lambda p, basis: regression_block(p, basis, 1),
+    "population_block": lambda p, basis: population_block(p, basis, 1),
+    "raising_coherence_generator": lambda p, basis: raising_coherence_generator(
+        p, basis, basis.max_manifold
+    )[1],
+}
+
+
+class TestSweepAssembly:
+    """Array-valued params give, lane by lane, exactly the matrices that each
+    point alone gives, from the one assembly."""
+
+    BASIS = build_basis(1)
+
+    @pytest.mark.parametrize("sweep", _SWEEPS.values(), ids=list(_SWEEPS))
+    @pytest.mark.parametrize("assembly", _ASSEMBLIES.values(), ids=list(_ASSEMBLIES))
+    def test_lanes_are_the_point_matrices(self, sweep, assembly):
+        per_point = [assembly(p, self.BASIS) for p in _points(sweep)]
+        expected = np.stack(per_point).reshape(sweep.shape + per_point[0].shape)
+        assert np.array_equal(assembly(sweep, self.BASIS), expected)
+
+    @pytest.mark.parametrize("sweep", _SWEEPS.values(), ids=list(_SWEEPS))
+    def test_hamiltonian_follows_its_own_fields(self, sweep):
+        h = build_hamiltonian(sweep, self.BASIS)
+        lanes = np.broadcast_shapes(*(np.shape(x) for x in (sweep.omega0, sweep.delta, sweep.g)))
+        assert h.shape == lanes + (self.BASIS.dim, self.BASIS.dim)
+        per_point = np.stack([build_hamiltonian(p, self.BASIS) for p in _points(sweep)])
+        expected = per_point.reshape(sweep.shape + h.shape[-2:])
+        assert np.array_equal(np.broadcast_to(h, expected.shape), expected)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -261,6 +262,29 @@ class TestPhysicalSpectrum:
         assert series.kappa == pytest.approx(default_kappa(params))
         assert series.collection_time == pytest.approx(default_collection_time(params))
         assert series.kernel == "verbatim"
+
+
+_ONE_POINT_ENTRIES = {
+    "evolve": lambda rho0, p, basis, t: evolve(rho0, p, basis, t),
+    "two_time_correlation": lambda rho0, p, basis, t: two_time_correlation(
+        "a", rho0, p, basis, t, t
+    ),
+    "physical_spectrum": lambda rho0, p, basis, t: physical_spectrum(
+        "a", rho0, p, basis, np.linspace(8.0, 12.0, 5), n_time=8, max_refinements=0
+    ),
+    "peak_table": lambda rho0, p, basis, t: peak_table(p, 2),
+}
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,)])
+@pytest.mark.parametrize("entry", sorted(_ONE_POINT_ENTRIES))
+def test_a_sweep_is_refused_where_one_point_is_needed(basis2, shape, entry):
+    sweep = SystemParams(
+        omega0=10.0, delta=0.0, g=1.0, gamma_a=np.full(shape, 0.4), gamma_sigma=0.4
+    )
+    rho0 = _pure(basis2, 0, DickeLabel.T_PLUS)
+    with pytest.raises(ValueError, match=re.escape(f"needs one parameter point, got shape {shape}")):
+        _ONE_POINT_ENTRIES[entry](rho0, sweep, basis2, np.linspace(0.0, 1.0, 3))
 
 
 class TestPeakTable:

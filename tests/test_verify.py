@@ -1,6 +1,10 @@
+import math
+from dataclasses import replace
 from types import SimpleNamespace
 
-from tcladder import eigenanalysis, verify
+import numpy as np
+
+from tcladder import eigenanalysis, liouvillian, verify
 from tcladder.verify import (
     ALL_CHECK_IDS,
     check_dressed_energies,
@@ -39,3 +43,36 @@ def test_dressed_energies_check_reads_the_closed_form(monkeypatch):
         eigenanalysis, "complex_eigenenergies", lambda n, params: closed_form(n, params) + 1e-6
     )
     assert not check_dressed_energies().passed
+
+
+class TestOracle:
+    """The coherence oracle builds one block stack per rung and matches every
+    lane against its own closed forms."""
+
+    POINTS = verify._random_parameter_grid(51)
+
+    def _worst(self, closed_form_points, expected_dims=None):
+        return verify._oracle_worst(
+            liouvillian.regression_block,
+            eigenanalysis.transition_eigenvalues,
+            expected_dims or {1: 3, 2: 12},
+            self.POINTS,
+            closed_form_points,
+        )
+
+    def test_one_wrong_lane_is_seen(self):
+        worst, _ = self._worst(self.POINTS)
+        assert worst < 1e-8
+        g = np.where(np.arange(51) == 17, 1.01, 1.0)
+        worst, detail = self._worst(replace(self.POINTS, g=g))
+        assert worst > 1e-8
+        assert detail == ""
+
+    def test_wrong_block_dimension_reads_infinite(self):
+        assert self._worst(self.POINTS, {1: 3, 2: 9}) == (math.inf, "block m=2 has dim 12")
+
+    def test_grid_is_one_sweep_whose_prefix_is_the_shorter_grid(self):
+        assert self.POINTS.shape == (51,)
+        short = verify._random_parameter_grid(6)
+        for name in ("delta", "gamma_a", "gamma_sigma"):
+            assert np.array_equal(getattr(short, name), getattr(self.POINTS, name)[:6])
