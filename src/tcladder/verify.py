@@ -109,15 +109,17 @@ def _oracle_worst(
 ) -> tuple[float, str]:
     """Worst distance between the spectra of the blocks ``block_of(points,
     basis, m)`` and the closed forms ``lines_of(m, closed_form_points)``,
-    lane by lane over the sweep, for the ``m`` of ``expected_dims``; a block
-    whose size is not the expected one reads infinite."""
+    lane by lane over the sweep, for the ``m`` of ``expected_dims``; a wrong
+    block size, or lanes that are not those of ``points``, read infinite."""
     basis = build_basis(3)
     worst = 0.0
     for m, dim in expected_dims.items():
-        blocks = block_of(points, basis, m)
+        blocks, lines = block_of(points, basis, m), lines_of(m, closed_form_points)
         if blocks.shape[-1] != dim:
             return math.inf, f"block m={m} has dim {blocks.shape[-1]}"
-        for numeric, analytic in zip(lv.line_values(blocks), lines_of(m, closed_form_points)):
+        if not blocks.shape[:-2] == lines.shape[:-2] == points.shape:
+            return math.inf, f"m={m}: lanes {blocks.shape[:-2]} {lines.shape[:-2]} {points.shape}"
+        for numeric, analytic in zip(lv.line_values(blocks), lines, strict=True):
             worst = max(worst, assignment_distance(numeric, analytic))
     return worst, ""
 

@@ -71,6 +71,10 @@ class TestOracle:
     def test_wrong_block_dimension_reads_infinite(self):
         assert self._worst(self.POINTS, {1: 3, 2: 9}) == (math.inf, "block m=2 has dim 12")
 
+    def test_a_closed_form_sweep_of_other_length_reads_infinite(self):
+        short = verify._random_parameter_grid(50)
+        assert self._worst(short) == (math.inf, "m=1: lanes (51,) (50,) (51,)")
+
     def test_grid_is_one_sweep_whose_prefix_is_the_shorter_grid(self):
         assert self.POINTS.shape == (51,)
         short = verify._random_parameter_grid(6)
