@@ -14,7 +14,6 @@ verification suite (:mod:`~tcladder.verify`) plus command line front end
 __version__ = "0.1.0"
 
 from .space import (  # noqa: E402
-    BasisState,
     DickeLabel,
     SystemParams,
     TruncatedBasis,
@@ -48,7 +47,6 @@ from .spectrum import (  # noqa: E402
 
 __all__ = [
     "__version__",
-    "BasisState",
     "DickeLabel",
     "SystemParams",
     "TruncatedBasis",

@@ -149,7 +149,7 @@ _NUMBER_FIELDS = (
 )
 
 
-def _lookup(config: dict, key_path: str):
+def _at_path(config: dict, key_path: str):
     value = config
     for part in key_path.split("."):
         value = value[part]
@@ -172,14 +172,14 @@ def _is_number(value) -> bool:
 
 def _validate_types(config: dict) -> None:
     for key_path, minimum in _INTEGER_FIELDS:
-        value = _lookup(config, key_path)
+        value = _at_path(config, key_path)
         if not _is_integer(value) or value < minimum:
             raise ConfigValidationError(
                 f"{key_path} must be an integer >= {minimum}, got {json.dumps(value)}"
             )
     for key_path in _NUMBER_FIELDS:
-        value = _lookup(config, key_path)
-        nullable = _lookup(DEFAULT_CONFIG, key_path) is None
+        value = _at_path(config, key_path)
+        nullable = _at_path(DEFAULT_CONFIG, key_path) is None
         if not (_is_number(value) or (nullable and value is None)):
             kind = "a finite number or null" if nullable else "a finite number"
             raise ConfigValidationError(
@@ -427,9 +427,7 @@ def cmd_evolve(config: dict, out_dir: Path) -> int:
     photon_number = ops.a.conj().T @ ops.a
     pop1 = ops.sigma1.conj().T @ ops.sigma1
     pop2 = ops.sigma2.conj().T @ ops.sigma2
-    singlet_idx = [
-        basis.index_of(p, DickeLabel.SINGLET) for p in range(basis.photon_cutoff + 1)
-    ]
+    singlet_idx = np.flatnonzero(basis.matter == list(DickeLabel).index(DickeLabel.SINGLET))
     rows = []
     for t, rho in zip(t_grid, traj):
         herm = (rho + rho.conj().T) / 2.0

@@ -28,8 +28,9 @@ and the expansion :func:`perturbative_splitting` broadcast over
 sweep is one call; a quantity that does not depend on the swept field keeps
 the shape of the fields it does depend on, except that the eigenenergies
 and block eigenvalues of a manifold always carry the sweep's full shape.
-The strong-coupling criterion, its boundary and the single-emitter reference
-stay scalar.
+The strong-coupling criterion and the single-emitter reference need one
+parameter point and refuse a sweep, even of shape ``(1,)``; the boundary
+and its contour take the rung or ``gamma_-/g`` alone.
 """
 
 from __future__ import annotations
@@ -294,6 +295,10 @@ def sc_criterion(n: int, params: SystemParams) -> SCDiagnostic:
     splitting persists as long as ``|Im Q_n| > 1``.  Exact boundary equality
     counts as weak coupling and is flagged.
     """
+    if params.shape != ():
+        raise ValueError(
+            f"the strong-coupling criterion needs one parameter point, got shape {params.shape}"
+        )
     if params.delta != 0.0:
         raise ValueError("the strong-coupling criterion is defined at delta = 0")
     if n < 1:
@@ -372,6 +377,10 @@ def jc_reference(n: int, params: SystemParams) -> JCReference:
     Kept only for side-by-side comparisons: the two-emitter system keeps its
     splitting over a strictly larger loss region than ``sqrt(n) g > |gamma_-|``.
     """
+    if params.shape != ():
+        raise ValueError(
+            f"the single-emitter reference needs one parameter point, got shape {params.shape}"
+        )
     if n < 1:
         raise ValueError("need n >= 1")
     g, gm = params.g, params.gamma_minus

@@ -234,7 +234,7 @@ def _sector(basis: TruncatedBasis, top: int, keep: Callable) -> tuple[np.ndarray
     ``0..top`` whose manifold numbers pass ``keep(m_first, m_second)``: the
     ``(row, col)`` of ``|row><col|`` for a block, ``(i, j)`` of ``rho[i, j]``
     for the live trajectory.  No other code maps manifolds to indices."""
-    m = basis.excitation[: basis.manifold_index[top][-1] + 1]
+    m = basis.excitation[: basis.manifold_slice(top).stop]
     return np.nonzero(keep(m[:, None], m))
 
 

@@ -4,7 +4,9 @@ Basis states are ``|p, m>`` with ``p`` photons and a collective (Dicke) matter
 label.  The canonical ordering is excitation-manifold major; within a manifold
 states are sorted by decreasing photon number (ties broken with T0 before S).
 Every matrix produced by this package follows that ordering, so the manifold
-block structure of all operators is visible as contiguous blocks.
+block structure of all operators is visible as contiguous blocks.  The basis
+is two read-only integer arrays over that ordering, the photon number and
+the label's position in :class:`DickeLabel` order of each state.
 
 Truncation rule: there is no pumping anywhere in the model, so dynamics never
 climbs manifolds.  Choosing ``photon_cutoff >= max excitation of the initial
@@ -20,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "DickeLabel",
-    "BasisState",
     "TruncatedBasis",
     "SystemParams",
     "BareOperators",
@@ -37,30 +38,9 @@ class DickeLabel(Enum):
     SINGLET = "S"
     T_PLUS = "T1"
 
-    @property
-    def excitations(self) -> int:
-        """Number of excited emitters carried by this label."""
-        return _EXCITATIONS[self]
 
-
-_EXCITATIONS = {
-    DickeLabel.T_MINUS: 0,
-    DickeLabel.T_ZERO: 1,
-    DickeLabel.SINGLET: 1,
-    DickeLabel.T_PLUS: 2,
-}
-
-@dataclass(frozen=True)
-class BasisState:
-    """Bare state ``|photons, matter>``."""
-
-    photons: int
-    matter: DickeLabel
-
-    @property
-    def excitation(self) -> int:
-        """Total excitation number (photons plus excited emitters)."""
-        return self.photons + self.matter.excitations
+#: number of excited emitters carried by each label, in DickeLabel order
+_EXCITATIONS = np.array([0, 1, 1, 2])
 
 
 @dataclass(frozen=True)
@@ -121,28 +101,30 @@ def _first(value, mask):
 class TruncatedBasis:
     """Ordered basis with ``photon_cutoff + 1`` photon sectors (4 states each).
 
-    ``manifold_index`` maps the excitation number ``n`` to the (contiguous)
-    indices of the manifold's states and ``excitation`` is the read-only
-    array of each state's excitation number.  ``operators`` holds the bare
-    operators over this basis, built once with the basis.
+    State ``k`` holds ``photons[k]`` photons and the label at position
+    ``matter[k]`` of :class:`DickeLabel` (T-1, T0, S, T1); ``excitation`` is
+    each state's excitation number, nondecreasing along the basis.  The three
+    arrays are read-only.  ``operators`` holds the bare operators
+    over this basis, built once with the basis.  Two bases are equal when
+    their cutoffs are, since the arrays follow from the cutoff.
     """
 
     photon_cutoff: int
-    states: tuple[BasisState, ...]
-    manifold_index: dict[int, tuple[int, ...]] = field(repr=False)
-    _lookup: dict[BasisState, int] = field(repr=False)
+    photons: np.ndarray = field(compare=False, repr=False)
+    matter: np.ndarray = field(compare=False, repr=False)
     excitation: np.ndarray = field(init=False, compare=False, repr=False)
     operators: BareOperators = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        excitation = np.array([state.excitation for state in self.states])
-        excitation.setflags(write=False)
+        excitation = self.photons + _EXCITATIONS[self.matter]
+        for array in (self.photons, self.matter, excitation):
+            array.setflags(write=False)
         object.__setattr__(self, "excitation", excitation)
         object.__setattr__(self, "operators", bare_operators(self))
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.photons)
 
     @property
     def max_manifold(self) -> int:
@@ -150,11 +132,18 @@ class TruncatedBasis:
         return self.photon_cutoff + 2
 
     def index_of(self, photons: int, matter: DickeLabel) -> int:
-        return self._lookup[BasisState(photons, matter)]
+        label = list(DickeLabel).index(matter)
+        hit = np.flatnonzero((self.photons == photons) & (self.matter == label))
+        if not hit.size:
+            raise ValueError(
+                f"no state |{photons}, {matter.value}> in the basis of "
+                f"photon_cutoff {self.photon_cutoff}"
+            )
+        return int(hit[0])
 
     def manifold_slice(self, n: int) -> slice:
-        idx = self.manifold_index[n]
-        return slice(idx[0], idx[-1] + 1)
+        start, stop = np.searchsorted(self.excitation, [n, n + 1]).tolist()
+        return slice(start, stop)
 
     def is_complete_manifold(self, n: int) -> bool:
         """True when no state of manifold ``n`` was removed by the cutoff."""
@@ -175,27 +164,13 @@ def build_basis(photon_cutoff: int) -> TruncatedBasis:
     """Build the manifold-major ordered basis for a given photon cutoff."""
     if photon_cutoff < 0:
         raise ValueError(f"photon_cutoff must be >= 0, got {photon_cutoff}")
-
-    states: list[BasisState] = []
-    manifold_index: dict[int, tuple[int, ...]] = {}
-    for n in range(photon_cutoff + 3):
-        # DickeLabel runs by rising excitation, T0 before S: decreasing
-        # photon number within the manifold, as the canonical order asks
-        members = [
-            BasisState(n - label.excitations, label)
-            for label in DickeLabel
-            if 0 <= n - label.excitations <= photon_cutoff
-        ]
-        manifold_index[n] = tuple(range(len(states), len(states) + len(members)))
-        states.extend(members)
-
-    lookup = {state: i for i, state in enumerate(states)}
-    return TruncatedBasis(
-        photon_cutoff=photon_cutoff,
-        states=tuple(states),
-        manifold_index=manifold_index,
-        _lookup=lookup,
-    )
+    # candidate 4 n + label is |n - excitations(label), label>: DickeLabel
+    # runs by rising excitation, T0 before S, so photons decrease within a
+    # manifold as the canonical order asks
+    photons = np.arange(photon_cutoff + 3)[:, None] - _EXCITATIONS
+    matter = np.broadcast_to(np.arange(len(_EXCITATIONS)), photons.shape)
+    kept = (photons >= 0) & (photons <= photon_cutoff)
+    return TruncatedBasis(photon_cutoff=photon_cutoff, photons=photons[kept], matter=matter[kept])
 
 
 def _matter_lowering_dicke() -> tuple[np.ndarray, np.ndarray]:
@@ -212,26 +187,15 @@ def _matter_lowering_dicke() -> tuple[np.ndarray, np.ndarray]:
 def bare_operators(basis: TruncatedBasis) -> BareOperators:
     """Photon annihilation, the two emitter lowering operators and the total
     excitation number operator as matrices over ``basis``."""
-    dim = basis.dim
-    a = np.zeros((dim, dim), dtype=complex)
-    sigma1 = np.zeros((dim, dim), dtype=complex)
-    sigma2 = np.zeros((dim, dim), dtype=complex)
-    number = np.diag(basis.excitation.astype(complex))
-
+    p, m = basis.photons, basis.matter
+    # a|p, m> = sqrt(p) |p - 1, m>, and each sigma acts on the label alone;
+    # np.where fills the zeros, so no entry is -0
+    same_photons = p[:, None] == p
+    a = np.where((m[:, None] == m) & (p[:, None] == p - 1), np.sqrt(p), 0).astype(complex)
     s1_m, s2_m = _matter_lowering_dicke()
-    labels = list(DickeLabel)
-
-    for j, state in enumerate(basis.states):
-        if state.photons >= 1:
-            i = basis.index_of(state.photons - 1, state.matter)
-            a[i, j] = np.sqrt(state.photons)
-        col = labels.index(state.matter)
-        for row, target in enumerate(labels):
-            for matrix, out in ((s1_m, sigma1), (s2_m, sigma2)):
-                amp = matrix[row, col]
-                if amp != 0:
-                    out[basis.index_of(state.photons, target), j] = amp
+    sigma1 = np.where(same_photons, s1_m[m[:, None], m], 0)
+    sigma2 = np.where(same_photons, s2_m[m[:, None], m], 0)
+    number = np.diag(basis.excitation.astype(complex))
     for matrix in (a, sigma1, sigma2, number):
         matrix.setflags(write=False)
     return BareOperators(a=a, sigma1=sigma1, sigma2=sigma2, number=number)
-

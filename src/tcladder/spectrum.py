@@ -29,7 +29,10 @@ The ``rho`` trajectory, on the symmetry sector that ``rho0`` occupies
 (:func:`tcladder.liouvillian._live_trajectory`), and the read-out row on
 that grid are propagated by doubling (:func:`tcladder.liouvillian._propagate`).
 The raising family covers the rungs ``rho0`` reaches and reads its initial
-values off those entries, so no array here grows with ``photon_cutoff``.
+values off those entries, so neither it nor the quadrature arrays grow with
+``photon_cutoff``; the generators' assembly still does, since
+:func:`tcladder.liouvillian._generator` builds the full Hamiltonian and
+identity before it slices them.
 Refinement halves the step: the generators, the raising family and its
 read-out coefficients are built once per :func:`physical_spectrum` call, and
 each pass keeps the previous pass's points as its even points and adds the

@@ -274,9 +274,7 @@ def check_master_equation() -> CheckResult:
     ops = basis.operators
     number = ops.number
     t_grid = np.linspace(0.0, 20.0, 201)
-    singlet_idx = [
-        basis.index_of(p, DickeLabel.SINGLET) for p in range(basis.photon_cutoff + 1)
-    ]
+    singlet_idx = np.flatnonzero(basis.matter == list(DickeLabel).index(DickeLabel.SINGLET))
 
     report = {"trace": 0.0, "herm": 0.0, "neg": 0.0, "dN": -math.inf, "singlet": 0.0}
     for name in ("both-excited", "one-photon"):
@@ -326,7 +324,7 @@ def check_qrt_identity() -> CheckResult:
     basis = build_basis(3)
     params = SystemParams(omega0=10.0, delta=0.0, g=1.0, gamma_a=0.3, gamma_sigma=0.2)
     rng = np.random.default_rng(11)
-    live = [i for n in range(4) for i in basis.manifold_index[n]]
+    live = range(basis.manifold_slice(3).stop)
     raw = rng.normal(size=(len(live), len(live))) + 1j * rng.normal(
         size=(len(live), len(live))
     )

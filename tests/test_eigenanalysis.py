@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -382,6 +383,14 @@ class TestJCReference:
 
     def test_two_emitter_region_is_larger(self):
         assert sc_boundary(1) > 1.0
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,)])
+@pytest.mark.parametrize("func", [sc_criterion, jc_reference])
+def test_a_sweep_is_refused_by_the_point_functions(func, shape):
+    sweep = make_params(gamma_a=np.full(shape, 4 * 1.7))
+    with pytest.raises(ValueError, match=re.escape(f"needs one parameter point, got shape {shape}")):
+        func(2, sweep)
 
 
 class TestOracleEquivalence:

@@ -15,9 +15,8 @@ class TestHamiltonianMatrix:
         basis = build_basis(2)
         params = SystemParams(omega0=5.0, delta=0.7, g=0.0, gamma_a=0, gamma_sigma=0)
         h = build_hamiltonian(params, basis)
-        expected = [
-            s.photons * 5.0 + s.matter.excitations * (5.0 - 0.7) for s in basis.states
-        ]
+        # a state's matter carries its excitations beyond the photons
+        expected = basis.photons * 5.0 + (basis.excitation - basis.photons) * (5.0 - 0.7)
         assert np.allclose(h, np.diag(expected), atol=1e-14)
 
     def test_first_manifold_eigenvalues(self):
@@ -48,9 +47,9 @@ class TestHamiltonianMatrix:
         params = SystemParams(omega0=5.0, delta=delta, g=0.0, gamma_a=0, gamma_sigma=0)
         h = build_hamiltonian(params, basis)
         for n in range(0, 3):
-            for i in basis.manifold_index[n]:
+            for i in range(basis.dim)[basis.manifold_slice(n)]:
                 assert h[i, i].real == pytest.approx(
-                    n * 5.0 - delta * basis.states[i].matter.excitations
+                    n * 5.0 - delta * (n - basis.photons[i])
                 )
 
 

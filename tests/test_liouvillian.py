@@ -226,7 +226,7 @@ class TestSymmetrySectors:
         assert i.size == size
 
         # vec index of rho[i, j] in the dense generator is i * dim + j
-        k = basis.manifold_index[top][-1] + 1
+        k = basis.manifold_slice(top).stop
         kept = i * k + j
         i, j = np.divmod(np.arange(k * k), k)
         block = i * basis.dim + j
@@ -344,7 +344,7 @@ class TestTopManifold:
         rho = np.zeros((basis3.dim, basis3.dim), complex)
         assert top_manifold(rho, basis3) == 0
         # a lone coherence between manifolds 0 and 3 reaches manifold 3
-        rho[0, basis3.manifold_index[3][0]] = 1e-300
+        rho[0, basis3.manifold_slice(3).start] = 1e-300
         assert top_manifold(rho, basis3) == 3
 
     def test_shape_mismatch_rejected(self, basis2, basis3):
@@ -452,7 +452,7 @@ class TestBlocks:
             return gen[np.ix_(idx, idx)]
 
         # the (row, col) pairs of each block's operators |r><c|, in order
-        index = basis.manifold_index
+        index = [range(basis.dim)[basis.manifold_slice(n)] for n in range(basis.max_manifold + 1)]
         blocks = [
             (regression_block(params, basis, m),
              [(r, c) for r in index[m - 1] for c in index[m]])
