@@ -104,9 +104,9 @@ class TruncatedBasis:
     State ``k`` holds ``photons[k]`` photons and the label at position
     ``matter[k]`` of :class:`DickeLabel` (T-1, T0, S, T1); ``excitation`` is
     each state's excitation number, nondecreasing along the basis.  The three
-    arrays are read-only.  ``operators`` holds the bare operators
-    over this basis, built once with the basis.  Two bases are equal when
-    their cutoffs are, since the arrays follow from the cutoff.
+    arrays are read-only.  ``operators`` holds the bare operators over this
+    basis, built once with the basis.  Two bases are equal when their cutoffs
+    are, since the arrays follow from the cutoff.
     """
 
     photon_cutoff: int
