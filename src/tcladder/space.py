@@ -55,6 +55,8 @@ class SystemParams:
     shape :attr:`shape`, validated at once.  The closed forms of
     :mod:`tcladder.eigenanalysis`, the Hamiltonian, the generator and its
     blocks broadcast over the fields; propagation and spectra need one point.
+    Params are equal when every field is, entry by entry; only params of
+    scalar fields are hashable.
     """
 
     omega0: float
@@ -76,6 +78,19 @@ class SystemParams:
             raise ValueError(f"coupling g must be nonnegative, got {_first(self.g, negative)!r}")
         if np.less(self.gamma_a, 0).any() or np.less(self.gamma_sigma, 0).any():
             raise ValueError("decay rates must be nonnegative")
+
+    def _fields(self) -> tuple:
+        return (self.omega0, self.delta, self.g, self.gamma_a, self.gamma_sigma)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, self._fields(), other._fields()))
+
+    def __hash__(self) -> int:
+        if any(isinstance(value, np.ndarray) for value in self._fields()):
+            raise TypeError(f"params holding arrays (sweep shape {self.shape}) are not hashable")
+        return hash(self._fields())
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -230,3 +230,25 @@ class TestSystemParams:
         assert p.gamma_plus >= abs(p.gamma_minus)
         assert p.gamma_plus == pytest.approx((gamma_a + gamma_sigma) / 4)
         assert p.gamma_minus == pytest.approx((gamma_a - gamma_sigma) / 4)
+
+    def test_sweeps_compare_field_by_field(self):
+        def sweep(gamma_a):
+            return SystemParams(10.0, 0.0, 1.0, np.array(gamma_a), 0.1)
+
+        assert sweep([0.1, 0.2]) == sweep([0.1, 0.2])
+        assert sweep([0.1, 0.2]) != sweep([0.1, 0.3])
+        assert sweep([0.1, 0.1]) != SystemParams(10.0, 0.0, 1.0, 0.1, 0.1)
+        assert sweep([0.1, 0.2]) != (10.0, 0.0, 1.0, 0.1, 0.1)
+
+    def test_scalar_params_keep_their_equality_and_hash(self):
+        point = SystemParams(10.0, 0.0, 1.0, 0.1, 0.1)
+        assert point == SystemParams(10, 0, 1, 0.1, 0.1)
+        assert point != SystemParams(10.0, 0.0, 1.0, 0.1, 0.2)
+        assert hash(point) == hash((10.0, 0.0, 1.0, 0.1, 0.1))
+        assert {point: 1}[SystemParams(10, 0, 1, 0.1, 0.1)] == 1
+
+    def test_a_sweep_is_not_hashable(self):
+        sweep = SystemParams(10.0, 0.0, 1.0, np.array([0.1, 0.2]), np.zeros((3, 1)))
+        with pytest.raises(TypeError, match=re.escape("sweep shape (3, 2)")) as err:
+            hash(sweep)
+        assert "\n" not in str(err.value)
